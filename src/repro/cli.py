@@ -129,15 +129,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             seed=args.seed,
             policy=TransportPolicy(args.policy),
             executor=args.executor,
-            num_shards=args.shards,
         )
-        executor = args.executor
-        if executor == "sharded":
-            executor = f"sharded({args.shards or 2})"
         print(
             f"# distributed RWBC, n={graph.num_nodes} "
             f"l={parameters.length} K={parameters.walks_per_source} "
-            f"executor={executor} "
+            f"executor={args.executor} "
             f"rounds={result.total_rounds} phases={result.phase_rounds} "
             f"target={result.target}"
         )
@@ -182,7 +178,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         faults=plan,
         executor=args.executor,
-        num_shards=args.shards,
         max_delay=args.max_delay,
         telemetry=telemetry,
     )
@@ -269,7 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = run_suite(scenarios, progress=report_point)
     columns = [
-        "scenario", "graph", "n", "m", "variant", "executor", "shards",
+        "scenario", "graph", "n", "m", "variant", "executor",
         "fault_profile", "rounds", "messages", "bits", "retransmissions",
         "wall_s",
     ]
@@ -514,16 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estimate.add_argument(
         "--executor",
-        choices=("sync", "async", "sharded"),
+        choices=("sync", "async"),
         default="sync",
-        help="distributed engine only: lock-step scheduler (sync), "
-        "alpha synchronizer (async), or the multi-process sharded "
-        "fast path (sharded; byte-identical to sync)",
-    )
-    estimate.add_argument(
-        "--shards",
-        type=int,
-        help="worker processes for --executor sharded (default 2)",
+        help="distributed engine only: lock-step scheduler (sync) or "
+        "alpha synchronizer (async)",
     )
     estimate.add_argument("--top", type=int)
     estimate.set_defaults(handler=_cmd_estimate)
@@ -556,16 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--executor",
-        choices=("sync", "async", "sharded"),
+        choices=("sync", "async"),
         default="sync",
-        help="run the reliable sync protocol, the fault-tolerant "
-        "alpha synchronizer on the event-driven async executor, or "
-        "the reliable protocol on the multi-process sharded fast path",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        help="worker processes for --executor sharded (default 2)",
+        help="run the reliable sync protocol, or the fault-tolerant "
+        "alpha synchronizer on the event-driven async executor",
     )
     chaos.add_argument(
         "--max-delay",

@@ -8,6 +8,8 @@ share conventions, so their outputs are directly comparable.
 
 from __future__ import annotations
 
+import os
+
 from repro.congest.asynchronous import AsyncSimulator
 from repro.congest.errors import ConfigError, FaultInjectionError
 from repro.congest.faults import FaultPlan
@@ -67,7 +69,6 @@ def estimate_rwbc_distributed(
     vectorized: bool | None = None,
     faults: FaultPlan | None = None,
     executor: str = "sync",
-    num_shards: int | None = None,
     max_delay: float = 10.0,
     telemetry=None,
     tracer=None,
@@ -126,18 +127,6 @@ def estimate_rwbc_distributed(
         ``result.recovery`` reports the synchronizer's transport
         recovery (retransmissions, timeouts, duplicate rejections,
         crash recoveries) instead of protocol-level channel stats.
-        ``"sharded"`` runs the lock-step scheduler with the counting
-        kernel partitioned across ``num_shards`` worker processes
-        (:mod:`repro.congest.sharded`): node ids split into contiguous
-        ranges, each range's kernel slice in its own forked process
-        against a shared-memory count tensor.  Byte-identical to the
-        ``"sync"`` fast path of the same seed, faults and all; requires
-        the vectorized fast path (``vectorized=False`` and
-        ``record_messages`` are rejected) and a platform with the
-        ``fork`` start method.
-    num_shards:
-        Worker-process count for ``executor="sharded"`` (defaults to 2
-        there; rejected for other executors).
     max_delay:
         Asynchronous executor only: message-delay bound in virtual time
         (delays are uniform in ``[1, max_delay]``).
@@ -158,37 +147,17 @@ def estimate_rwbc_distributed(
     relabeled, mapping = graph.relabeled()
     inverse = {index: node for node, index in mapping.items()}
     n = relabeled.num_nodes
+    _check_count_tensor_fits(n)
     if parameters is None:
         parameters = default_parameters(n)
-    if executor not in ("sync", "async", "sharded"):
+    if executor not in ("sync", "async"):
         raise ConfigError(
-            f"unknown executor {executor!r}: expected 'sync', 'async', "
-            "or 'sharded'"
-        )
-    if executor == "sharded":
-        if num_shards is None:
-            num_shards = 2
-        if record_messages:
-            raise ConfigError(
-                "record_messages forces per-message dispatch, which the "
-                "sharded executor cannot run"
-            )
-        if vectorized is False:
-            raise ConfigError(
-                "the sharded executor runs the vectorized fast path; "
-                "vectorized=False cannot be honored"
-            )
-    elif num_shards is not None:
-        raise ConfigError(
-            f"num_shards is only valid with executor='sharded' "
-            f"(got executor={executor!r})"
+            f"unknown executor {executor!r}: expected 'sync' or 'async'"
         )
     lossy = faults is not None and not faults.is_trivial
     # Under the async executor the synchronizer's transport handles all
     # loss below the round abstraction; the protocol itself runs in its
-    # plain (non-reliable) shape and never observes a fault.  The
-    # sharded executor is the same lock-step scheduler as "sync", so it
-    # keeps the protocol-level reliable mode.
+    # plain (non-reliable) shape and never observes a fault.
     reliable = lossy and executor != "async"
     if executor == "async":
         if record_messages:
@@ -249,7 +218,6 @@ def estimate_rwbc_distributed(
             or default_max_rounds(n, parameters, reliable, config.setup_slack),
             record_messages=record_messages,
             vectorized=vectorized,
-            num_shards=num_shards,
             faults=faults,
             telemetry=telemetry,
             tracer=tracer,
@@ -315,6 +283,28 @@ def estimate_rwbc_distributed(
         fallback_reasons=fallback_reasons,
         telemetry=telemetry,
     )
+
+
+def _check_count_tensor_fits(n: int) -> None:
+    """Fail fast when the visit tally cannot fit in physical memory.
+
+    Both scheduler loops keep a dense ``(n, 2, n)`` int64 tally (the
+    engine's count tensor, or one ``(2, n)`` slab per node), i.e.
+    ``16 * n**2`` bytes.  ``np.zeros`` allocates it lazily, so without
+    this check an oversized run starts and dies partway through.
+    Platforms without ``sysconf`` skip the check.
+    """
+    tally_bytes = 16 * n * n
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if tally_bytes > physical:
+        raise ConfigError(
+            f"the (n, 2, n) int64 visit tally for n={n} needs "
+            f"{tally_bytes} bytes, more than the {physical} bytes of "
+            "physical memory"
+        )
 
 
 def _validate_crash_windows(

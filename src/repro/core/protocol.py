@@ -531,13 +531,7 @@ class RWBCNodeProgram(VectorizedProgram):
             # engine's global count tensor.
             engine = shared.slots.get("walk_engine")
             if engine is None:
-                num_shards = getattr(shared, "num_shards", None)
-                if num_shards:
-                    from repro.congest.sharded import ShardedWalkEngine
-
-                    engine = ShardedWalkEngine(n, num_shards)
-                else:
-                    engine = CountingWalkEngine(n)
+                engine = CountingWalkEngine(n)
                 shared.slots["walk_engine"] = engine
                 shared.register_driver(engine)
             engine.register(

@@ -86,11 +86,9 @@ def counting_round_kernel(
     absorb (absorbing mode), tally visits into ``count_tensor``, expire
     zero-remaining tokens, and sample next hops into pending-table
     entries.  Pure function of its inputs plus the per-node generators
-    in ``rngs`` - which is what makes it the unit of sharding: a worker
-    process that owns a contiguous node range runs this verbatim on its
-    slice of the canonical arrays, with the same generators in the same
-    per-node order, and necessarily produces the parent's byte-exact
-    results (``repro.congest.sharded``).
+    in ``rngs``: run on any contiguous node slice of the canonical
+    arrays, with the same generators in the same per-node order, it
+    produces that slice's byte-exact share of the round.
 
     ``nodes`` must be sorted ascending (the canonical order from
     :func:`~repro.walks.batched.aggregate_network_groups`).  Returns
@@ -644,8 +642,20 @@ class CountingWalkEngine:
         nodes, sources, remainings, halves, counts = (
             aggregate_network_groups(*raw)
         )
-        entries, death_nodes, death_counts, self._seq = self._run_kernel(
-            nodes, sources, remainings, halves, counts
+        entries, death_nodes, death_counts, self._seq = counting_round_kernel(
+            nodes,
+            sources,
+            remainings,
+            halves,
+            counts,
+            self._rngs,
+            self._alpha,
+            self._absorbing_target,
+            self.counts,
+            self._degrees,
+            self._offsets,
+            self._max_degree,
+            self._seq,
         )
         deaths = self._round_deaths
         if len(death_nodes):
@@ -662,34 +672,6 @@ class CountingWalkEngine:
             else:
                 self._pending = entries
         return np.nonzero(deaths)[0]
-
-    def _run_kernel(
-        self,
-        nodes: np.ndarray,
-        sources: np.ndarray,
-        remainings: np.ndarray,
-        halves: np.ndarray,
-        counts: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Run the counting-round kernel over the canonical arrays.
-
-        The sharded engine overrides this to fan the slice out across
-        worker processes by node range."""
-        return counting_round_kernel(
-            nodes,
-            sources,
-            remainings,
-            halves,
-            counts,
-            self._rngs,
-            self._alpha,
-            self._absorbing_target,
-            self.counts,
-            self._degrees,
-            self._offsets,
-            self._max_degree,
-            self._seq,
-        )
 
     def _post_round(
         self,

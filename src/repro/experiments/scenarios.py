@@ -3,8 +3,8 @@
 A :class:`Scenario` is one named cell of the repo's coverage matrix:
 graph source (synthetic family or bundled dataset) x size x protocol
 variant (distributed walkers / weighted oracle / edge betweenness) x
-executor (sync fast path, forced per-message loop, async synchronizer,
-multi-process sharded fast path) x fault profile.  Suites (:data:`SUITES`) are named scenario lists; the
+executor (sync fast path, forced per-message loop, async synchronizer)
+x fault profile.  Suites (:data:`SUITES`) are named scenario lists; the
 ``repro sweep`` CLI runs one suite, prints the rows, and appends a
 keyed entry to the suite's committed ``BENCH_<suite>.json`` trajectory
 (see :mod:`repro.obs.trajectory`).
@@ -110,13 +110,8 @@ class Scenario:
     #: variants), which have no round structure but a tracked wall clock.
     variant: str = "distributed"
     #: "sync" (scheduler auto-selects the fast path), "per-message"
-    #: (vectorized=False), "async" (alpha synchronizer), or "sharded"
-    #: (fast path with the counting kernel split across ``shards``
-    #: worker processes; byte-identical counters to "sync").
+    #: (vectorized=False), or "async" (alpha synchronizer).
     executor: str = "sync"
-    #: Worker-process count; only meaningful (and required) when
-    #: ``executor="sharded"``.
-    shards: int | None = None
     faults: str = "none"
     max_delay: float = 6.0
 
@@ -129,15 +124,9 @@ class Scenario:
             raise GraphError(
                 f"scenario {self.name!r}: unknown variant {self.variant!r}"
             )
-        if self.executor not in ("sync", "per-message", "async", "sharded"):
+        if self.executor not in ("sync", "per-message", "async"):
             raise GraphError(
                 f"scenario {self.name!r}: unknown executor {self.executor!r}"
-            )
-        if (self.executor == "sharded") != (self.shards is not None):
-            raise GraphError(
-                f"scenario {self.name!r}: shards is required with "
-                "executor='sharded' and invalid otherwise "
-                f"(executor={self.executor!r}, shards={self.shards!r})"
             )
         if self.faults not in FAULT_PROFILES:
             raise GraphError(
@@ -162,7 +151,6 @@ class Scenario:
             "walks": self.walks,
             "variant": self.variant,
             "executor": self.executor,
-            "shards": self.shards,
             "fault_profile": self.faults,
             "faults": dict(FAULT_PROFILES[self.faults]),
             "max_delay": self.max_delay,
@@ -212,7 +200,6 @@ def scenario_row(
     walks: int | None = None,
     variant: str = "distributed",
     executor: str = "sync",
-    shards: int | None = None,
     fault_profile: str = "none",
     faults: Mapping | None = None,
     max_delay: float = 6.0,
@@ -234,8 +221,6 @@ def scenario_row(
         "executor": executor,
         "fault_profile": fault_profile,
     }
-    if shards is not None:
-        row["shards"] = shards
     if variant != "distributed":
         start = time.perf_counter()
         if variant == "weighted":
@@ -267,10 +252,7 @@ def scenario_row(
         parameters,
         seed=seed,
         faults=plan,
-        executor=(
-            executor if executor in ("async", "sharded") else "sync"
-        ),
-        num_shards=shards,
+        executor="async" if executor == "async" else "sync",
         vectorized=False if executor == "per-message" else None,
         max_delay=max_delay,
     )
@@ -305,17 +287,10 @@ def _full_suite() -> tuple[Scenario, ...]:
     scenarios += [
         Scenario("er60-permsg", family="er", n=60, seed=60,
                  executor="per-message"),
-        Scenario("er120-sharded2", family="er", n=120, seed=120,
-                 executor="sharded", shards=2),
-        Scenario("er120-sharded4", family="er", n=120, seed=120,
-                 executor="sharded", shards=4),
-        Scenario("er60-sharded-lossy", family="er", n=60, seed=60,
-                 length=180, walks=24, executor="sharded", shards=2,
-                 faults="lossy"),
-        # The scale tier: only the sharded executor makes this
-        # tractable, and only in the scheduled full sweep.
-        Scenario("tree10k-sharded4", family="tree", n=10000, seed=1,
-                 length=10, walks=1, executor="sharded", shards=4),
+        # The scale tier: a scale smoke at reduced parameters
+        # (l=10, K=1), not the paper schedule.
+        Scenario("tree10k", family="tree", n=10000, seed=1,
+                 length=10, walks=1),
         Scenario("er60-lossy", family="er", n=60, seed=60,
                  length=180, walks=24, faults="lossy"),
         Scenario("er60-chaos", family="er", n=60, seed=60,
@@ -335,27 +310,18 @@ def _full_suite() -> tuple[Scenario, ...]:
 
 
 #: Named suites.  ``smoke`` is the CI tier: one scenario per regime
-#: (fast path, the sharded executor at 2 and 4 workers - byte-identical
-#: counters to the sync fast path, also under loss - the forced
-#: per-message loop, reliable mode under drops, chaos with a crash
-#: window, the async synchronizer faulty and fault-free, a real
-#: dataset, and the weighted / edge oracles), each sized to finish in
-#: seconds.  ``full`` is the broad matrix.
+#: (fast path, the forced per-message loop, reliable mode under drops,
+#: chaos with a crash window, the async synchronizer faulty and
+#: fault-free, a real dataset, and the weighted / edge oracles), each
+#: sized to finish in seconds.  ``full`` is the broad matrix.
 SUITES: dict[str, tuple[Scenario, ...]] = {
     "smoke": (
         Scenario("er30-sync", family="er", n=30, seed=0,
                  length=90, walks=12),
         Scenario("cycle16-permsg", family="cycle", n=16, seed=0,
                  length=48, walks=8, executor="per-message"),
-        Scenario("er30-sharded2", family="er", n=30, seed=0,
-                 length=90, walks=12, executor="sharded", shards=2),
-        Scenario("er30-sharded4", family="er", n=30, seed=0,
-                 length=90, walks=12, executor="sharded", shards=4),
         Scenario("cycle10-lossy", family="cycle", n=10, seed=0,
                  length=30, walks=6, faults="lossy"),
-        Scenario("cycle10-sharded-lossy", family="cycle", n=10, seed=0,
-                 length=30, walks=6, executor="sharded", shards=2,
-                 faults="lossy"),
         Scenario("cycle10-chaos", family="cycle", n=10, seed=0,
                  length=30, walks=6, faults="chaos"),
         Scenario("cycle8-async", family="cycle", n=8, seed=0,

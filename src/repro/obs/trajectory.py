@@ -120,7 +120,6 @@ def new_entry(
                 "fast_path",
                 "variant",
                 "executor",
-                "shards",
                 "fault_profile",
             )
             if key in row and row[key] is not None

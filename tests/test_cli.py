@@ -344,6 +344,13 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["estimate", "chaos"])
+    def test_sharded_executor_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--family", "cycle", "--executor", "sharded"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sharded'" in capsys.readouterr().err
+
 
 class TestDatasets:
     def test_counts(self):

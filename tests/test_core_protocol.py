@@ -6,10 +6,13 @@ detection, the exchange phase, and local computation together.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from repro.congest.errors import ConfigError
+from repro.core import estimator
 from repro.core.estimator import default_max_rounds, estimate_rwbc_distributed
 from repro.core.exact import rwbc_exact
 from repro.core.montecarlo import betweenness_from_counts
@@ -186,10 +189,31 @@ class TestValidation:
             estimate_rwbc_distributed(Graph(nodes=[0]))
 
     def test_disconnected_rejected(self):
-        from repro.congest.errors import ConfigError
-
         with pytest.raises((GraphError, ConfigError)):
             estimate_rwbc_distributed(Graph(edges=[(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize("executor", ["mpi", "sharded"])
+    def test_unknown_executor_rejected(self, executor):
+        with pytest.raises(ConfigError, match="'sync' or 'async'"):
+            estimate_rwbc_distributed(cycle_graph(6), executor=executor)
+
+    @pytest.mark.skipif(
+        "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}),
+        reason="no sysconf physical-memory query on this platform",
+    )
+    def test_oversized_count_tensor_fails_before_simulating(
+        self, monkeypatch
+    ):
+        """n = 300 000 needs a 1.44 TB (n, 2, n) tally: rejected up
+        front with the byte count, before any simulator exists."""
+
+        def no_simulator(*args, **kwargs):
+            raise AssertionError("a simulator was built")
+
+        monkeypatch.setattr(estimator, "Simulator", no_simulator)
+        monkeypatch.setattr(estimator, "AsyncSimulator", no_simulator)
+        with pytest.raises(ConfigError, match="1440000000000 bytes"):
+            estimate_rwbc_distributed(path_graph(300_000))
 
     def test_non_integer_labels_work(self):
         """Arbitrary labels are relabeled internally and mapped back."""

@@ -25,7 +25,7 @@ class TestRegistry:
     def test_smoke_covers_the_matrix(self):
         smoke = SUITES["smoke"]
         assert {s.executor for s in smoke} == {
-            "sync", "per-message", "async", "sharded",
+            "sync", "per-message", "async",
         }
         assert {s.faults for s in smoke} == {"none", "lossy", "chaos"}
         assert {s.variant for s in smoke} == {"distributed", "weighted",
