@@ -62,20 +62,11 @@ def kind_code(kind: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (uint64, wrapping arithmetic)."""
-    with np.errstate(over="ignore"):
-        z = (values + np.uint64(_GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
 def _mix64_array(values: np.ndarray) -> np.ndarray:
-    """:func:`_mix64` for 1-d uint64 arrays.  Elementwise ufuncs on
-    arrays wrap silently (only numpy *scalar* arithmetic warns on
-    overflow), so this skips the per-call ``errstate`` context manager -
-    the dominant cost of hashing millions of small batches."""
+    """Vectorized splitmix64 finalizer for 1-d uint64 arrays.
+    Elementwise ufuncs on arrays wrap silently (only numpy *scalar*
+    arithmetic warns on overflow), so no ``errstate`` context is
+    needed."""
     z = values + np.uint64(_GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -84,7 +75,7 @@ def _mix64_array(values: np.ndarray) -> np.ndarray:
 
 def _mix64_int(value: int) -> int:
     """Scalar splitmix64 finalizer in pure Python ints (identical to
-    :func:`_mix64` mod 2**64, without numpy scalar overhead)."""
+    :func:`_mix64_array` mod 2**64, without numpy scalar overhead)."""
     z = (value + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -123,18 +114,9 @@ def _edge_base_array(
     return _mix64_array(h ^ (codes.astype(np.uint64) * golden))
 
 
-def _uniforms(base: int, salt: int, indices: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) draw per message index, from the stateless hash."""
-    keys = (
-        np.uint64(base)
-        ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
-    ) + np.uint64(salt * 0x2545F4914F6CDD1D & _MASK64)
-    return (_mix64(keys) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def _uniform_one(base: int, salt: int, index: int) -> float:
-    """Scalar :func:`_uniforms` for a single message index (pure Python
-    ints; bit-identical to the vectorized draw mod 2**64).  The
+    """Scalar :func:`_uniforms_array` for a single message index (pure
+    Python ints; bit-identical to the vectorized draw mod 2**64).  The
     asynchronous executor decides fates one in-flight message at a
     time, where a one-element numpy round trip would dominate."""
     key = (
@@ -147,8 +129,9 @@ def _uniform_one(base: int, salt: int, index: int) -> float:
 def _uniforms_array(
     bases: np.ndarray, salt: int, indices: np.ndarray
 ) -> np.ndarray:
-    """:func:`_uniforms` with a per-message ``bases`` array, so one call
-    covers every (edge, kind) group of a round at once."""
+    """Uniform [0, 1) draw per message, from the stateless hash of its
+    (edge, kind) base and its index; one call covers every (edge, kind)
+    group of a round at once."""
     keys = (
         bases
         ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
@@ -414,7 +397,7 @@ class FaultRuntime:
 
         Returns ``(dropped, duplicated, delay_rounds)`` - the same
         mutually exclusive outcomes, priorities, and hash family as
-        :meth:`_fates`, evaluated one message at a time.  ``round_number``
+        :meth:`_batched_fates`, evaluated one message at a time.  ``round_number``
         is the simulated round the message belongs to (its synchronizer
         round tag; 0 for untagged control traffic such as acks), and the
         per-``(round, edge, kind)`` index auto-increments across the
@@ -456,52 +439,6 @@ class FaultRuntime:
         self._indices = {}
         self._round = round_number
 
-    def _fates(
-        self,
-        sender: int,
-        receiver: int,
-        kind: str,
-        count: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decide ``count`` consecutive messages of one (edge, kind).
-
-        Returns ``(dropped, duplicated, delay_rounds)`` arrays; a
-        positive ``delay_rounds[i]`` means message ``i`` is removed now
-        and re-delivered that many rounds later.  Advances the edge's
-        index counter, so control and bulk calls compose.
-        """
-        code = kind_code(kind)
-        key = (sender, receiver, code)
-        start = self._indices.get(key, 0)
-        self._indices[key] = start + count
-        drop, dup, delay = self.plan.rates_for(sender, receiver)
-        indices = np.arange(start, start + count, dtype=np.int64)
-        dropped = np.zeros(count, dtype=bool)
-        duplicated = np.zeros(count, dtype=bool)
-        delay_rounds = np.zeros(count, dtype=np.int64)
-        if drop == dup == delay == 0.0:
-            return dropped, duplicated, delay_rounds
-        base = _edge_base(self.plan.seed, self._round, sender, receiver, code)
-        if drop > 0.0:
-            dropped = _uniforms(base, _SALT_DROP, indices) < drop
-        survivors = ~dropped
-        if delay > 0.0:
-            slipped = (
-                _uniforms(base, _SALT_DELAY, indices) < delay
-            ) & survivors
-            if slipped.any():
-                amounts = (
-                    _uniforms(base, _SALT_AMOUNT, indices)
-                    * self.plan.max_delay
-                ).astype(np.int64) + 1
-                delay_rounds[slipped] = amounts[slipped]
-                survivors &= ~slipped
-        if dup > 0.0:
-            duplicated = (
-                _uniforms(base, _SALT_DUP, indices) < dup
-            ) & survivors
-        return dropped, duplicated, delay_rounds
-
     def _batched_fates(
         self,
         bases: np.ndarray,
@@ -517,10 +454,9 @@ class FaultRuntime:
 
         ``bases`` carries each message's edge-hash base and ``indices``
         its canonical index; the rates are scalars (uniform plans) or
-        per-message arrays (edge overrides).  Message for message this
-        evaluates exactly the draws a per-group :meth:`_fates` call
-        would - a zero rate compares every uniform against 0.0, which is
-        the same ``False`` the per-group path gets without drawing.
+        per-message arrays (edge overrides).  A zero rate compares every
+        uniform against 0.0, which is the same ``False`` the scalar
+        :meth:`async_fate` gets without drawing.
         """
         count = len(indices)
         if have_drop:
@@ -548,14 +484,70 @@ class FaultRuntime:
             duplicated = np.zeros(count, dtype=bool)
         return dropped, duplicated, delay_rounds
 
+    def _decide_rows(
+        self,
+        senders: list[int],
+        receivers: list[int],
+        codes: list[int],
+        counts: list[int],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Fates of rows of ``counts[i]`` consecutive messages of one
+        (edge, kind), given in canonical order.
+
+        One pass hands every row its start index from the per-(edge,
+        kind) counter and advances the counter, so control and bulk
+        calls compose; one batched hash then decides every message.
+        Returns per-message ``(row, dropped, duplicated, delay_rounds)``
+        arrays, messages in row order; a positive ``delay_rounds[i]``
+        means message ``i`` is removed now and re-delivered that many
+        rounds later.
+        """
+        edge_counters = self._indices
+        starts: list[int] = []
+        for key, count in zip(zip(senders, receivers, codes), counts):
+            start = edge_counters.get(key, 0)
+            starts.append(start)
+            edge_counters[key] = start + count
+        count_arr = np.array(counts, dtype=np.int64)
+        row = np.repeat(np.arange(len(counts), dtype=np.int64), count_arr)
+        first = np.cumsum(count_arr) - count_arr
+        indices = (
+            np.array(starts, dtype=np.int64)[row]
+            + np.arange(len(row), dtype=np.int64)
+            - first[row]
+        )
+        bases = _edge_base_array(
+            self.plan.seed,
+            self._round,
+            np.array(senders, dtype=np.int64),
+            np.array(receivers, dtype=np.int64),
+            np.array(codes, dtype=np.uint64),
+        )[row]
+        if self._uniform_rates:
+            drop = self.plan.drop_rate
+            dup = self.plan.duplicate_rate
+            delay = self.plan.delay_rate
+        else:
+            rates = np.array(
+                [self.plan.rates_for(*edge) for edge in zip(senders, receivers)],
+                dtype=np.float64,
+            )[row]
+            drop, dup, delay = rates[:, 0], rates[:, 1], rates[:, 2]
+        dropped, duplicated, delay_rounds = self._batched_fates(
+            bases, indices, drop, dup, delay,
+            bool(np.any(drop)), bool(np.any(dup)), bool(np.any(delay)),
+        )
+        return row, dropped, duplicated, delay_rounds
+
     def filter_messages(
         self, round_number: int, messages: list[Message]
     ) -> list[Message]:
         """Apply the plan to one round's materialized messages.
 
         Call :meth:`begin_round` first.  Messages to crashed nodes are
-        lost; the rest face the drop/delay/duplicate hash.  Duplicates
-        are delivered immediately after their original.
+        lost; the rest face the drop/delay/duplicate hash, one row per
+        message.  Duplicates are delivered immediately after their
+        original.
         """
         if not messages:
             return []
@@ -575,58 +567,11 @@ class FaultRuntime:
             # Crash-only plan: nothing left to decide, and no counter
             # to advance (no hash is ever evaluated under zero rates).
             return list(live)
-        # One pass assigns every message its canonical index within its
-        # (edge, kind) group - composing with the per-edge counters -
-        # then a single batched hash decides the whole round.
-        count = len(live)
-        senders = np.empty(count, dtype=np.int64)
-        receivers = np.empty(count, dtype=np.int64)
-        codes = np.empty(count, dtype=np.uint64)
-        indices = np.empty(count, dtype=np.int64)
-        next_index: dict[tuple[int, int, int], int] = {}
-        edge_counters = self._indices
-        for position, message in enumerate(live):
-            sender = message.sender
-            receiver = message.receiver
-            code = kind_code(message.kind)
-            senders[position] = sender
-            receivers[position] = receiver
-            codes[position] = code
-            key = (sender, receiver, code)
-            index = next_index.get(key)
-            if index is None:
-                index = edge_counters.get(key, 0)
-            indices[position] = index
-            next_index[key] = index + 1
-        edge_counters.update(next_index)
-        if self._uniform_rates:
-            drop = self.plan.drop_rate
-            dup = self.plan.duplicate_rate
-            delay = self.plan.delay_rate
-            have_drop, have_dup, have_delay = (
-                drop > 0.0, dup > 0.0, delay > 0.0
-            )
-        else:
-            drop = np.empty(count, dtype=np.float64)
-            dup = np.empty(count, dtype=np.float64)
-            delay = np.empty(count, dtype=np.float64)
-            rate_cache: dict[tuple[int, int], tuple] = {}
-            for position, message in enumerate(live):
-                edge = (message.sender, message.receiver)
-                rates = rate_cache.get(edge)
-                if rates is None:
-                    rates = self.plan.rates_for(*edge)
-                    rate_cache[edge] = rates
-                drop[position], dup[position], delay[position] = rates
-            have_drop = bool(drop.any())
-            have_dup = bool(dup.any())
-            have_delay = bool(delay.any())
-        bases = _edge_base_array(
-            self.plan.seed, self._round, senders, receivers, codes
-        )
-        dropped, duplicated, delay_rounds = self._batched_fates(
-            bases, indices, drop, dup, delay,
-            have_drop, have_dup, have_delay,
+        _, dropped, duplicated, delay_rounds = self._decide_rows(
+            [message.sender for message in live],
+            [message.receiver for message in live],
+            [kind_code(message.kind) for message in live],
+            [1] * len(live),
         )
         dropped_list = dropped.tolist()
         duplicated_list = duplicated.tolist()
@@ -684,149 +629,49 @@ class FaultRuntime:
             # them is a no-op (they reset each round anyway); the crash
             # zeroing above is the plan's entire effect on bulk rows.
             return new_mult
-        active = new_mult > 0
-        if not active.any():
+        rows = np.nonzero(new_mult)[0]
+        if not len(rows):
             return new_mult
-        # Group the active rows by directed edge, edges ordered by first
-        # appearance in row order and rows kept in row order within each
-        # edge - the exact iteration order of the per-row dict walk this
-        # replaces, which the delayed-row re-queue order depends on.
-        rows = np.nonzero(active)[0]
-        row_senders = senders[rows].astype(np.int64, copy=False)
-        row_receivers = receivers[rows].astype(np.int64, copy=False)
-        edge_keys = (row_senders << np.int64(32)) | row_receivers
-        unique_keys, first_pos, inverse = np.unique(
-            edge_keys, return_index=True, return_inverse=True
-        )
-        n_edges = len(unique_keys)
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(n_edges, dtype=np.int64)
-        rank[appearance] = np.arange(n_edges, dtype=np.int64)
-        row_rank = rank[inverse]
-        order = np.argsort(row_rank, kind="stable")
-        grouped_rows = rows[order]
-        grouped_counts = new_mult[grouped_rows]
-        edge_senders = row_senders[first_pos[appearance]]
-        edge_receivers = row_receivers[first_pos[appearance]]
-        edge_sizes = np.bincount(row_rank, minlength=n_edges)
-        edge_row_starts = np.empty(n_edges, dtype=np.int64)
-        edge_row_starts[0] = 0
-        np.cumsum(edge_sizes[:-1], out=edge_row_starts[1:])
-        edge_totals = np.add.reduceat(grouped_counts, edge_row_starts)
-        code = kind_code(kind)
-        # Advance each edge's fate counter (composing with this round's
-        # control traffic of the same kind, which was filtered first).
-        starts = np.empty(n_edges, dtype=np.int64)
-        edge_counters = self._indices
-        senders_list = edge_senders.tolist()
-        receivers_list = edge_receivers.tolist()
-        for j, total in enumerate(edge_totals.tolist()):
-            key = (senders_list[j], receivers_list[j], code)
-            start = edge_counters.get(key, 0)
-            starts[j] = start
-            edge_counters[key] = start + total
-        if self._uniform_rates:
-            drop = self.plan.drop_rate
-            dup = self.plan.duplicate_rate
-            delay = self.plan.delay_rate
-            have_drop, have_dup, have_delay = (
-                drop > 0.0, dup > 0.0, delay > 0.0
-            )
-            drop_pm = drop
-            dup_pm = dup
-            delay_pm = delay
-        else:
-            edge_drop = np.empty(n_edges, dtype=np.float64)
-            edge_dup = np.empty(n_edges, dtype=np.float64)
-            edge_delay = np.empty(n_edges, dtype=np.float64)
-            for j in range(n_edges):
-                edge_drop[j], edge_dup[j], edge_delay[j] = (
-                    self.plan.rates_for(senders_list[j], receivers_list[j])
-                )
-            have_drop = bool(edge_drop.any())
-            have_dup = bool(edge_dup.any())
-            have_delay = bool(edge_delay.any())
-        if not (have_drop or have_dup or have_delay):
-            return new_mult
-        # Expand to one entry per message: each row i contributes
-        # ``grouped_counts[i]`` consecutive indices of its edge.
-        message_row = np.repeat(
-            np.arange(len(grouped_rows), dtype=np.int64), grouped_counts
-        )
-        row_bounds = np.empty(len(grouped_rows) + 1, dtype=np.int64)
-        row_bounds[0] = 0
-        np.cumsum(grouped_counts, out=row_bounds[1:])
-        total_messages = int(row_bounds[-1])
-        message_edge = np.repeat(
-            np.arange(n_edges, dtype=np.int64), edge_totals
-        )
-        edge_offsets = np.empty(n_edges, dtype=np.int64)
-        edge_offsets[0] = 0
-        np.cumsum(edge_totals[:-1], out=edge_offsets[1:])
-        message_index = (
-            np.arange(total_messages, dtype=np.int64)
-            - edge_offsets[message_edge]
-            + starts[message_edge]
-        )
-        edge_bases = _edge_base_array(
-            self.plan.seed, self._round, edge_senders, edge_receivers,
-            np.full(n_edges, code, dtype=np.uint64),
-        )
-        bases = edge_bases[message_edge]
-        if not self._uniform_rates:
-            drop_pm = edge_drop[message_edge]
-            dup_pm = edge_dup[message_edge]
-            delay_pm = edge_delay[message_edge]
-        dropped, duplicated, delay_rounds = self._batched_fates(
-            bases, message_index, drop_pm, dup_pm, delay_pm,
-            have_drop, have_dup, have_delay,
+        counts = new_mult[rows]
+        row, dropped, duplicated, delay_rounds = self._decide_rows(
+            senders[rows].tolist(),
+            receivers[rows].tolist(),
+            [kind_code(kind)] * len(rows),
+            counts.tolist(),
         )
         slipped = delay_rounds > 0
-        starts_of_rows = row_bounds[:-1]
-        dropped_per_row = np.add.reduceat(
-            dropped.astype(np.int64), starts_of_rows
-        )
-        duplicated_per_row = np.add.reduceat(
-            duplicated.astype(np.int64), starts_of_rows
-        )
-        slipped_per_row = np.add.reduceat(
-            slipped.astype(np.int64), starts_of_rows
-        )
-        new_mult[grouped_rows] = (
-            grouped_counts
-            - dropped_per_row
-            - slipped_per_row
-            + duplicated_per_row
+        n_rows = len(rows)
+        dropped_per_row = np.bincount(row[dropped], minlength=n_rows)
+        duplicated_per_row = np.bincount(row[duplicated], minlength=n_rows)
+        slipped_per_row = np.bincount(row[slipped], minlength=n_rows)
+        new_mult[rows] = (
+            counts - dropped_per_row - slipped_per_row + duplicated_per_row
         )
         self.counters.dropped += int(dropped_per_row.sum())
         self.counters.duplicated += int(duplicated_per_row.sum())
         n_slipped = int(slipped_per_row.sum())
         if n_slipped:
             self.counters.delayed += n_slipped
-            # Re-queue delayed copies grouped as (row, slip) pairs; the
-            # ascending composite key reproduces the per-row walk's
-            # append order (edges by first appearance, rows in row
-            # order, slips ascending within a row).
+            # Re-queue delayed copies grouped as (row, slip) pairs, rows
+            # in canonical order and slips ascending within a row.
             span = self.plan.max_delay + 1
-            slip_keys = (
-                message_row[slipped] * span + delay_rounds[slipped]
-            )
             pair_keys, pair_counts = np.unique(
-                slip_keys, return_counts=True
+                row[slipped] * span + delay_rounds[slipped],
+                return_counts=True,
             )
             delayed = self._delayed_bulk
             for pair, count in zip(
                 pair_keys.tolist(), pair_counts.tolist()
             ):
-                row = int(grouped_rows[pair // span])
+                source_row = int(rows[pair // span])
                 slip = pair % span
                 delayed.setdefault(round_number + slip, {}).setdefault(
                     kind, []
                 ).append(
                     (
-                        int(senders[row]),
-                        int(receivers[row]),
-                        tuple(int(x) for x in fields[row]),
+                        int(senders[source_row]),
+                        int(receivers[source_row]),
+                        tuple(int(x) for x in fields[source_row]),
                         count,
                     )
                 )
@@ -870,13 +715,3 @@ class FaultRuntime:
         """True while delayed traffic is still waiting to mature (the
         scheduler must not declare global termination before then)."""
         return bool(self._delayed_messages) or bool(self._delayed_bulk)
-
-    def latest_crash_end(self) -> int | None:
-        """Last round any crash window covers (None = a crash-stop
-        window never ends)."""
-        latest = 0
-        for window in self.plan.crashes:
-            if window.end is None:
-                return None
-            latest = max(latest, window.end)
-        return latest

@@ -124,6 +124,11 @@ class SharedFastPathState:
       tags); the scheduler diverts in-flight bulk traffic of those kinds
       away from per-node inboxes and hands it to the driver whole - one
       set of arrays for the entire network per round;
+    * a driver with claimed traffic may define ``begin_round(round_number,
+      claimed)``; the scheduler calls it before the round's per-node
+      calls, and the ``claimed`` it returns is what ``end_round`` gets -
+      the place for receive-side work the per-node loop does ahead of
+      each receiver's own round handler;
     * after all per-node calls of a round, the scheduler invokes
       ``driver.end_round(round_number, claimed, outbox, bulk_outbox)``
       exactly once, where ``claimed`` maps each claimed kind to its

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
 
@@ -169,9 +167,8 @@ class InLink:
 
     Delivered-but-unordered seqs live in ``mask``, an unbounded int
     bitmask relative to ``cum`` (bit ``i`` = seq ``cum + 1 + i``
-    delivered).  The mask form makes acceptance O(1) bit ops and lets
-    the fast path mirror many links into flat arrays
-    (:class:`InLinkFlatState`) for array-level acceptance.
+    delivered).  The mask form makes acceptance O(1) bit ops at any
+    hole depth.
     """
 
     __slots__ = ("cum", "mask", "ack_due")
@@ -302,11 +299,6 @@ class ReliableChannel:
             kind, fields_rows, round_number
         )
 
-    def mark_active(self, neighbor: int) -> None:
-        """Note that the edge to ``neighbor`` has flush work (used by
-        the fast path, which mutates the links directly)."""
-        self._active.add(neighbor)
-
     def queue(self, neighbor: int, kind: str, fields: tuple[int, ...]) -> None:
         """Queue a reliable control message; ``flush`` sends it when a
         slot frees up."""
@@ -357,12 +349,23 @@ class ReliableChannel:
             else:
                 self.out[sender].apply_ack(cum, bitmap)
             return None
-        seq = message.fields[-1]
-        self._active.add(sender)  # the accept owes an ack either way
-        if self.inn[sender].accept(seq):
+        if self.accept(sender, message.fields[-1]):
             return message.fields[:-1]
-        self.stats.duplicates_rejected += 1
         return None
+
+    def accept(self, sender: int, seq: int, copies: int = 1) -> bool:
+        """Run ``copies`` identical arrivals of ``sender``'s ``seq``
+        through the edge's ARQ; True iff the seq is fresh.
+
+        The edge owes an ack either way, so it is marked active; at most
+        one copy is accepted and every other copy is charged to
+        ``duplicates_rejected``.  The per-message loop calls this once
+        per message (via :meth:`receive`), the fast-path walk engine
+        once per claimed row - one acceptance rule for both."""
+        self._active.add(sender)
+        fresh = self.inn[sender].accept(seq)
+        self.stats.duplicates_rejected += copies - fresh
+        return fresh
 
     # ------------------------------------------------------------------
     # Per-round flush
@@ -470,51 +473,3 @@ class ReliableChannel:
         if self.queued_count or self.unacked_count:
             return False
         return not any(link.ack_due for link in self.inn.values())
-
-
-class InLinkFlatState:
-    """Flat numpy mirror of many :class:`InLink` cursors, by edge id.
-
-    The fast path's network-wide engine owns one of these, sized to the
-    network's directed-edge table.  Each round it *pulls* the cursors of
-    the edges appearing in the claimed walk traffic, decides acceptance
-    for every row with array compares against ``cum``/``mask``, and
-    *pushes* the advanced cursors back into the InLink objects - which
-    stay the single source of truth, because the control path keeps
-    accepting retransmitted tokens through
-    :meth:`ReliableChannel.receive` on the very same links.
-
-    Masks wider than 63 bits (a hole older than 63 seqs, e.g. behind a
-    long crash window) do not fit the uint64 mirror; such edges are
-    flagged ``wide`` and the caller routes their rows through the plain
-    per-row :meth:`InLink.accept` fallback.
-    """
-
-    __slots__ = ("cum", "mask", "wide")
-
-    def __init__(self, size: int) -> None:
-        self.cum = np.full(size, -1, dtype=np.int64)
-        self.mask = np.zeros(size, dtype=np.uint64)
-        self.wide = np.zeros(size, dtype=bool)
-
-    def pull(self, edge_ids: list[int], links: list[InLink]) -> None:
-        """Refresh the mirror from the InLink objects for these edges."""
-        cum, mask, wide = self.cum, self.mask, self.wide
-        for edge_id, link in zip(edge_ids, links):
-            cum[edge_id] = link.cum
-            link_mask = link.mask
-            if link_mask >> 63:
-                wide[edge_id] = True
-                mask[edge_id] = 0
-            else:
-                wide[edge_id] = False
-                mask[edge_id] = link_mask
-
-    def push(self, edge_ids: list[int], links: list[InLink]) -> None:
-        """Write advanced cursors back into the InLink objects (also
-        marking their acks due, as every accept does)."""
-        cum, mask = self.cum, self.mask
-        for edge_id, link in zip(edge_ids, links):
-            link.cum = int(cum[edge_id])
-            link.mask = int(mask[edge_id])
-            link.ack_due = True

@@ -550,7 +550,9 @@ class Simulator:
                     )
                 bulk_in_flight.trace_into(self.tracer, round_number)
             # Divert driver-claimed kinds before the per-receiver split;
-            # the claiming driver gets them whole at end of round.
+            # the claiming driver gets them whole: first in its optional
+            # begin_round, before the per-node calls, then at end of
+            # round.
             claimed_traffic: dict[int, dict[str, tuple]] = {}
             if claimed_kinds and bulk_in_flight:
                 for kind, driver in claimed_kinds.items():
@@ -559,6 +561,13 @@ class Simulator:
                         claimed_traffic.setdefault(id(driver), {})[
                             kind
                         ] = data
+                with profiler.span("drivers"):
+                    for driver in shared.drivers:
+                        claimed = claimed_traffic.get(id(driver))
+                        if claimed and hasattr(driver, "begin_round"):
+                            claimed_traffic[id(driver)] = driver.begin_round(
+                                round_number, claimed
+                            )
             with profiler.span("deliver"):
                 inboxes: dict[int, list[Message]] = {}
                 for message in in_flight:

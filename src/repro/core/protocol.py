@@ -541,7 +541,6 @@ class RWBCNodeProgram(VectorizedProgram):
         self.phase = PHASE_COUNTING
         self.counting_start_round = r
         self._walks.launch()
-        self._death_counter.record_deaths(self._collect_immediate_deaths())
         if self._engine is not None:
             # The engine adopts the launch queues at end of this round
             # and performs the sends (walks and initial term report).
@@ -550,11 +549,6 @@ class RWBCNodeProgram(VectorizedProgram):
             self._counting_sends(ctx)
         else:
             self._reliable_counting_sends(ctx)
-
-    def _collect_immediate_deaths(self) -> int:
-        """Deaths at launch time: none with length >= 1 (enforced), but
-        kept explicit so the accounting is visibly complete."""
-        return 0
 
     # ------------------------------------------------------------------
     # Phase 2: counting (Algorithm 1)

@@ -45,23 +45,6 @@ KIND_WALK = "walk"
 KIND_WALK_BATCH = "walkb"
 
 
-def sequence_block(
-    channel,
-    neighbor: int,
-    kind: str,
-    payload_rows: list[tuple[int, ...]],
-    round_number: int,
-) -> int:
-    """Sequence a head-of-queue block of messages all shipped on one
-    edge this round through the sender's reliable channel; returns the
-    first seq (rows get consecutive seqs in order).  Shared by the
-    per-message :meth:`WalkManager.send_round` and the fast-path
-    engine's ``_emit_reliable`` so both allocate identically."""
-    return channel.register_block(
-        neighbor, kind, payload_rows, round_number
-    )
-
-
 class TransportPolicy(enum.Enum):
     """How queued walk tokens map onto messages."""
 
@@ -338,7 +321,7 @@ class WalkManager:
         groups in aggregate instead).
 
         With a :class:`~repro.congest.reliable.ReliableChannel`, every
-        token message is sequenced through ``channel.register_sent`` and
+        token message is sequenced through ``channel.register_block`` and
         carries its seq as the last field; under QUEUE that forces one
         token per message (each needs its own seq).  ``budgets`` is
         forwarded to :meth:`emit_round`.  ``instruments`` (a
@@ -352,8 +335,7 @@ class WalkManager:
         for neighbor, source, remaining, half, count in entries:
             if self.policy is TransportPolicy.QUEUE:
                 if channel is not None:
-                    start = sequence_block(
-                        channel,
+                    start = channel.register_block(
                         neighbor,
                         KIND_WALK,
                         [(source, remaining, half)] * count,
@@ -369,8 +351,7 @@ class WalkManager:
                 sent += count
             else:
                 if channel is not None:
-                    seq = sequence_block(
-                        channel,
+                    seq = channel.register_block(
                         neighbor,
                         KIND_WALK_BATCH,
                         [(source, remaining, half, count)],

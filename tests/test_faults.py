@@ -244,18 +244,3 @@ class TestFilterSemantics:
         messages, _ = runtime.take_delayed(2)  # node 1 is down in round 2
         assert messages == []
         assert runtime.counters.crash_dropped == delayed
-
-    def test_latest_crash_end(self):
-        runtime = FaultRuntime(
-            FaultPlan(
-                crashes=(
-                    CrashWindow(node=0, start=1, end=5),
-                    CrashWindow(node=1, start=2, end=9),
-                )
-            )
-        )
-        assert runtime.latest_crash_end() == 9
-        forever = FaultRuntime(
-            FaultPlan(crashes=(CrashWindow(node=0, start=1),))
-        )
-        assert forever.latest_crash_end() is None

@@ -189,3 +189,32 @@ class TestReliableChannel:
         assert b.receive(first) == (10,)
         cum, bitmap = b.inn[0].ack_fields()
         assert (cum, bitmap) == (1, 0)
+
+
+class TestChannelAccept:
+    """``ReliableChannel.accept``: the one acceptance rule both loops use."""
+
+    def test_hole_older_than_64_seqs(self):
+        """Seqs 1..100 park above a missing seq 0 (a mask far wider than
+        64 bits, as a long crash window leaves behind); filling the hole
+        slides the cursor past all of them."""
+        b = make_channel(node_id=1, neighbors=(0,))
+        for seq in range(1, 101):
+            assert b.accept(0, seq)
+            assert not b.accept(0, seq)
+        assert b.inn[0].cum == -1
+        assert b.accept(0, 0)
+        assert not b.accept(0, 0)
+        assert not b.accept(0, 64)
+        assert b.inn[0].cum == 100
+        assert b.inn[0].mask == 0
+        assert b.stats.duplicates_rejected == 102
+
+    def test_extra_copies_charged_as_duplicates(self):
+        b = make_channel(node_id=1, neighbors=(0,))
+        assert b.accept(0, 0, copies=3)
+        assert b.stats.duplicates_rejected == 2
+        assert b.inn[0].cum == 0
+        wire: list[Message] = []
+        b.flush(1, wire.append)  # the accept left the edge owing an ack
+        assert [(m.kind, m.fields) for m in wire] == [(KIND_ACK, (0, 0))]

@@ -1,8 +1,8 @@
 """Cross-loop equivalence of the *vectorized* reliable path.
 
-The fast path's reliable machinery (array-level ARQ acceptance in
+The fast path's reliable machinery (per-row ARQ acceptance in
 ``walk_engine._dedup_claimed``, block seq assignment in
-``_emit_reliable``, and the lexsort-grouped ``FaultRuntime.filter_bulk``)
+``_emit_reliable``, and the row-wise ``FaultRuntime.filter_bulk``)
 must reproduce the per-message loop byte for byte.  The fixed-seed
 checks in ``test_failure_injection.py`` pin a handful of schedules;
 this file adds the boundary cases those seeds happen to miss, plus a
@@ -31,12 +31,14 @@ def _launch_round(n):
     return 2 * SETUP_SLACK * n
 
 
-def _run_both_loops(graph, plan, seed=3, parameters=PARAMS):
+def _run_both_loops(graph, plan, seed=3, parameters=PARAMS, **options):
     slow = estimate_rwbc_distributed(
-        graph, parameters, seed=seed, faults=plan, vectorized=False
+        graph, parameters, seed=seed, faults=plan, vectorized=False,
+        **options,
     )
     fast = estimate_rwbc_distributed(
-        graph, parameters, seed=seed, faults=plan, vectorized=True
+        graph, parameters, seed=seed, faults=plan, vectorized=True,
+        **options,
     )
     return slow, fast
 
@@ -74,8 +76,8 @@ class TestBoundaryEquivalence:
 
     def test_duplicate_storm(self):
         """Heavy duplication floods the dedup with intra-round repeats
-        of the same (edge, seq) - the first-wins tie-break the batch
-        acceptance must replicate exactly."""
+        of the same (edge, seq) - only the first copy may be accepted,
+        in both loops."""
         graph = erdos_renyi_graph(9, 0.5, seed=2, ensure_connected=True)
         plan = FaultPlan(seed=13, duplicate_rate=0.4, drop_rate=0.05)
         slow, fast = _run_both_loops(graph, plan)
@@ -86,7 +88,7 @@ class TestBoundaryEquivalence:
     def test_max_delay_slips(self):
         """Long delay slips re-order seqs across rounds, so tokens
         arrive ahead of their predecessors and park in the selective-ack
-        mask (the out-of-window branch of the array acceptance)."""
+        mask above the ARQ cursor."""
         graph = erdos_renyi_graph(9, 0.5, seed=2, ensure_connected=True)
         plan = FaultPlan(
             seed=17, delay_rate=0.25, max_delay=7, drop_rate=0.05
@@ -94,6 +96,61 @@ class TestBoundaryEquivalence:
         slow, fast = _run_both_loops(graph, plan)
         _assert_identical(slow, fast)
         assert slow.metrics.faults["delayed"] > 0
+
+    def test_counting_crash_outruns_64_seq_window(self):
+        """A receiver crashed mid-counting while its neighbors keep
+        emitting at a 24-token edge budget: on recovery, arriving seqs
+        run more than 63 ahead of its ARQ cursor (a receive mask wider
+        than 64 bits), and both loops must still accept the same
+        tokens."""
+        n = 5
+        launch = _launch_round(n)
+        plan = FaultPlan(
+            seed=5,
+            drop_rate=0.05,
+            crashes=(CrashWindow(node=2, start=launch + 2, end=launch + 22),),
+        )
+        slow, fast = _run_both_loops(
+            cycle_graph(n),
+            plan,
+            parameters=WalkParameters(length=20, walks_per_source=60),
+            walk_budget=24,
+        )
+        _assert_identical(slow, fast)
+        assert slow.metrics.faults["crash_node_rounds"] == 20
+
+    def test_late_copy_at_exchange_node(self):
+        """A delayed fresh-emission copy lands at a node already in the
+        exchange phase, after a retransmission delivered the token: the
+        duplicate's ack must leave in that node's flush of the same
+        round, as in the per-message loop."""
+        n = 12
+        graph = erdos_renyi_graph(n, 0.45, seed=n, ensure_connected=True)
+        plan = FaultPlan(
+            seed=26508100,
+            drop_rate=0.015625,
+            delay_rate=0.025390625,
+            max_delay=6,
+        )
+        slow, fast = _run_both_loops(graph, plan, seed=1)
+        _assert_identical(slow, fast)
+        assert slow.metrics.faults["delayed"] > 0
+
+    def test_late_copy_at_finished_node(self):
+        """A copy delayed past the whole exchange phase reaches a node
+        that already finished: it must still ack it that round (the
+        per-message loop wakes the node for the mail)."""
+        n = 4
+        graph = erdos_renyi_graph(n, 0.45, seed=n, ensure_connected=True)
+        plan = FaultPlan(
+            seed=1994596186,
+            drop_rate=0.037,
+            duplicate_rate=0.128,
+            delay_rate=0.032,
+            max_delay=14,
+        )
+        slow, fast = _run_both_loops(graph, plan, seed=1)
+        _assert_identical(slow, fast)
 
 
 @st.composite
