@@ -7,7 +7,7 @@ Before the reliable path was vectorized the gap here collapsed to
 ~1.15x; this file is the regression gate that keeps it from collapsing
 again.
 
-The CI ``perf-gate`` job runs this module and fails the build when the
+The CI ``sweep`` job runs this module and fails the build when the
 fast loop is not at least ``MIN_SPEEDUP`` times faster than the
 per-message loop on the identical seeded run.  A wall-clock *ratio*
 (both loops timed in the same process on the same machine) is stable

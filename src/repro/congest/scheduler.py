@@ -22,6 +22,7 @@ import numpy as np
 from repro.congest.errors import (
     ConfigError,
     FaultInjectionError,
+    ProtocolError,
     RoundLimitExceeded,
     UnrecoverableLossError,
 )
@@ -29,7 +30,6 @@ from repro.congest.faults import FaultPlan, FaultRuntime
 from repro.congest.message import Message
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import (
-    BulkRoundContext,
     NodeInfo,
     NodeProgram,
     RoundContext,
@@ -376,20 +376,19 @@ class Simulator:
     ) -> SimulationResult:
         """The vectorized fast path.
 
-        Identical round structure to :meth:`run`, but heavy traffic
-        moves as aggregate per-edge counts (:class:`BulkOutbox`) and
-        idle nodes are skipped outright (safe by the
-        :class:`VectorizedProgram` ``bulk_idle`` contract).  Control
-        messages still travel as ordinary :class:`Message` objects, so
-        phases that need per-message semantics (leader election, the
-        termination convergecast) are untouched.  Cooperating programs
-        may additionally register cross-node *drivers* through
-        ``ctx.shared`` (see :class:`SharedFastPathState`): a driver
-        claims whole message kinds and processes them network-wide once
-        per round instead of node by node.  Bandwidth limits are
-        enforced on the merged control + bulk load of every edge, and
-        :class:`RunMetrics` receives exactly the numbers the per-message
-        loop would have recorded.
+        Identical round structure to :meth:`run`, and each node is
+        stepped through the same :meth:`NodeProgram.on_round` with its
+        control messages, but idle nodes are skipped outright (safe by
+        the :class:`VectorizedProgram` ``bulk_idle`` contract) and the
+        context carries ``shared`` (see :class:`SharedFastPathState`).
+        Through it, programs register cross-node *drivers*: a driver
+        claims whole message kinds, ships them as aggregate per-edge
+        rows (:class:`BulkOutbox`) and processes them network-wide once
+        per round instead of node by node.  Bulk rows of a kind no
+        driver claims raise :class:`ProtocolError`.  Bandwidth limits
+        are enforced on the merged control + bulk load of every edge,
+        and :class:`RunMetrics` receives exactly the numbers the
+        per-message loop would have recorded.
         """
         n = self.graph.num_nodes
         metrics = RunMetrics(instruments=self._instruments)
@@ -417,14 +416,8 @@ class Simulator:
         # number changes); constructing ~n of these per round would be
         # measurable overhead at scale.
         contexts = {
-            node: BulkRoundContext(
-                node,
-                programs[node].neighbors,
-                outbox,
-                0,
-                bulk_outbox,
-                np.array(programs[node].neighbors, dtype=np.int64),
-                shared,
+            node: RoundContext(
+                node, programs[node].neighbors, outbox, 0, shared
             )
             for node in order
         }
@@ -549,18 +542,24 @@ class Simulator:
                         message.sender,
                     )
                 bulk_in_flight.trace_into(self.tracer, round_number)
-            # Divert driver-claimed kinds before the per-receiver split;
-            # the claiming driver gets them whole: first in its optional
-            # begin_round, before the per-node calls, then at end of
-            # round.
+            # Bulk rows are driver traffic: each claimed kind goes whole
+            # to its driver, first in its optional begin_round, before
+            # the per-node calls, then at end of round.  Nodes receive
+            # control messages only.
             claimed_traffic: dict[int, dict[str, tuple]] = {}
-            if claimed_kinds and bulk_in_flight:
+            if bulk_in_flight:
                 for kind, driver in claimed_kinds.items():
                     data = bulk_in_flight.take(kind)
                     if data is not None:
                         claimed_traffic.setdefault(id(driver), {})[
                             kind
                         ] = data
+                if bulk_in_flight:
+                    unclaimed = ", ".join(bulk_in_flight.kinds)
+                    raise ProtocolError(
+                        f"bulk rows of kind(s) {unclaimed} arrived in round "
+                        f"{round_number}, but no fast-path driver claims them"
+                    )
                 with profiler.span("drivers"):
                     for driver in shared.drivers:
                         claimed = claimed_traffic.get(id(driver))
@@ -572,7 +571,6 @@ class Simulator:
                 inboxes: dict[int, list[Message]] = {}
                 for message in in_flight:
                     inboxes.setdefault(message.receiver, []).append(message)
-                bulk_inboxes = bulk_in_flight.group_by_receiver()
             with profiler.span("nodes"):
                 # Step exactly the nodes with mail plus the ones whose
                 # wake round arrived; everything else provably has
@@ -580,7 +578,6 @@ class Simulator:
                 # ``bulk_idle`` contract), so per-round cost tracks the
                 # active set instead of n.
                 step_set = set(inboxes)
-                step_set.update(bulk_inboxes)
                 for node in calendar.pop(round_number, ()):
                     if wake_round.get(node) == round_number:
                         del wake_round[node]
@@ -595,17 +592,15 @@ class Simulator:
                         continue
                     program = programs[node]
                     inbox = inboxes.get(node)
-                    bulk = bulk_inboxes.get(node)
-                    has_mail = inbox is not None or bulk is not None
                     if program.halted:
-                        if not has_mail:
+                        if inbox is None:
                             continue
                         program.unhalt()
-                    elif not has_mail and program.bulk_idle:
+                    elif inbox is None and program.bulk_idle:
                         continue
                     ctx = contexts[node]
                     ctx.round_number = round_number
-                    program.on_bulk_round(ctx, inbox or [], bulk)
+                    program.on_round(ctx, inbox or [])
                     if not program.halted:
                         wake = program.next_wake(round_number)
                         if wake is not None:

@@ -116,15 +116,12 @@ class RoundOutbox:
 
 @dataclass(frozen=True)
 class BulkKindInbox:
-    """One node's aggregated arrivals of one message kind this round."""
+    """One round's aggregated rows of one message kind (receivers are
+    kept alongside, in :class:`BulkRound`)."""
 
     senders: np.ndarray
     fields: np.ndarray  # (groups, field_count) integer matrix
     multiplicity: np.ndarray  # identical copies per row
-
-
-#: Per-node fast-path inbox: kind -> aggregated arrivals.
-BulkInbox = dict[str, BulkKindInbox]
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,12 @@ class RoundTraffic:
     """One round's merged accounting (bulk + control), for RunMetrics.
 
     ``edge_messages`` / ``edge_bits`` are the per-directed-edge loads
-    behind the maxima (one entry per edge that carried traffic, order
-    unspecified).  They ride along for telemetry - RunMetrics folds them
-    into histograms when instruments are attached - and are excluded
-    from equality so traffic comparisons stay by-the-numbers.
+    behind the maxima, one entry per edge that carried traffic, in
+    ascending order of the edge code ``sender * n + receiver`` held in
+    ``edges``.  They ride along for telemetry - RunMetrics folds them
+    into histograms when instruments are attached - and for naming an
+    over-budget edge, and are excluded from equality so traffic
+    comparisons stay by-the-numbers.
     """
 
     total_messages: int = 0
@@ -149,6 +148,7 @@ class RoundTraffic:
     edge_bits: np.ndarray | None = field(
         default=None, compare=False, repr=False
     )
+    edges: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -188,6 +188,11 @@ class BulkRound:
         return bool(self._kinds)
 
     @property
+    def kinds(self) -> tuple[str, ...]:
+        """The message kinds still held, sorted."""
+        return tuple(sorted(self._kinds))
+
+    @property
     def total_messages(self) -> int:
         return sum(
             int(batch.multiplicity.sum()) for batch in self._kinds.values()
@@ -199,9 +204,9 @@ class BulkRound:
         """Remove one kind's traffic wholesale and return it as
         ``(senders, receivers, fields, multiplicity)`` arrays.
 
-        Used by fast-path drivers that claim a message kind: the claimed
-        traffic skips the per-receiver split of :meth:`group_by_receiver`
-        and is processed network-wide instead.  Accounting is unaffected
+        The scheduler hands each claimed kind to its fast-path driver
+        this way, network-wide; rows of a kind no driver takes are a
+        protocol error (see :attr:`kinds`).  Accounting is unaffected
         (``traffic`` was fixed at drain time)."""
         batch = self._kinds.pop(kind, None)
         if batch is None:
@@ -315,28 +320,6 @@ class BulkRound:
                         round_number, receiver, "deliver", kind, sender
                     )
 
-    def group_by_receiver(self) -> dict[int, BulkInbox]:
-        """Split the round's traffic into per-node bulk inboxes."""
-        inboxes: dict[int, BulkInbox] = {}
-        for kind, batch in self._kinds.items():
-            receivers = self._receivers[kind]
-            order = np.argsort(receivers, kind="stable")
-            sorted_receivers = receivers[order]
-            boundaries = np.nonzero(
-                sorted_receivers[1:] != sorted_receivers[:-1]
-            )[0]
-            starts = np.concatenate(([0], boundaries + 1))
-            ends = np.concatenate((boundaries + 1, [len(sorted_receivers)]))
-            for start, end in zip(starts, ends):
-                node = int(sorted_receivers[start])
-                rows = order[start:end]
-                inboxes.setdefault(node, {})[kind] = BulkKindInbox(
-                    senders=batch.senders[rows],
-                    fields=batch.fields[rows],
-                    multiplicity=batch.multiplicity[rows],
-                )
-        return inboxes
-
 
 def _delivered_traffic(
     kinds: dict[str, BulkKindInbox],
@@ -376,7 +359,7 @@ def _delivered_traffic(
     if not edge_codes_parts:
         return RoundTraffic()
     codes = np.concatenate(edge_codes_parts)
-    _, inverse = np.unique(codes, return_inverse=True)
+    edges, inverse = np.unique(codes, return_inverse=True)
     edge_messages = np.bincount(
         inverse, weights=np.concatenate(edge_messages_parts)
     )
@@ -389,6 +372,7 @@ def _delivered_traffic(
         max_message_bits=max_message_bits,
         edge_messages=edge_messages.astype(np.int64),
         edge_bits=edge_bits.astype(np.int64),
+        edges=edges,
     )
 
 
@@ -398,7 +382,7 @@ _EMPTY_ROUND = BulkRound({}, {}, {}, RoundTraffic())
 class BulkOutbox:
     """Fast-path counterpart of :class:`RoundOutbox`.
 
-    Programs push whole arrays of counted messages; limits are checked
+    Drivers push whole arrays of counted messages; limits are checked
     vectorized - the per-message bit budget at push time, the per-edge
     message budget at :meth:`drain` (jointly with the round's control
     messages, since both share each edge's capacity).  The charged
@@ -409,25 +393,6 @@ class BulkOutbox:
     def __init__(self, policy: BandwidthPolicy) -> None:
         self._policy = policy
         self._batches: dict[str, _KindBatch] = {}
-
-    def push(
-        self,
-        sender: int,
-        kind: str,
-        receivers: np.ndarray,
-        fields: np.ndarray,
-        multiplicity: np.ndarray | None = None,
-    ) -> None:
-        """Queue one node's same-kind aggregate sends for this round."""
-        if len(receivers) == 0:
-            return
-        self.push_rows(
-            kind,
-            np.full(len(receivers), sender, dtype=np.int64),
-            receivers,
-            fields,
-            multiplicity,
-        )
 
     def push_rows(
         self,
@@ -481,66 +446,22 @@ class BulkOutbox:
         kinds: dict[str, BulkKindInbox] = {}
         receivers_by_kind: dict[str, np.ndarray] = {}
         row_bits_by_kind: dict[str, np.ndarray] = {}
-        edge_codes_parts: list[np.ndarray] = []
-        edge_messages_parts: list[np.ndarray] = []
-        edge_bits_parts: list[np.ndarray] = []
-        total_messages = 0
-        total_bits = 0
-        max_message_bits = 0
         for kind, batch in batches.items():
-            senders = np.concatenate(batch.senders)
-            receivers = np.concatenate(batch.receivers)
-            fields = np.concatenate(batch.fields)
-            multiplicity = np.concatenate(batch.multiplicity)
-            row_bits = np.concatenate(batch.row_bits)
             kinds[kind] = BulkKindInbox(
-                senders=senders, fields=fields, multiplicity=multiplicity
+                senders=np.concatenate(batch.senders),
+                fields=np.concatenate(batch.fields),
+                multiplicity=np.concatenate(batch.multiplicity),
             )
-            receivers_by_kind[kind] = receivers
-            row_bits_by_kind[kind] = row_bits
-            edge_codes_parts.append(senders * n + receivers)
-            edge_messages_parts.append(multiplicity)
-            edge_bits_parts.append(multiplicity * row_bits)
-            total_messages += int(multiplicity.sum())
-            total_bits += int((multiplicity * row_bits).sum())
-            max_message_bits = max(max_message_bits, int(row_bits.max()))
-        if control_messages:
-            codes = np.array(
-                [m.sender * n + m.receiver for m in control_messages],
-                dtype=np.int64,
-            )
-            bits = np.array(
-                [m.bits for m in control_messages], dtype=np.int64
-            )
-            edge_codes_parts.append(codes)
-            edge_messages_parts.append(np.ones(len(codes), dtype=np.int64))
-            edge_bits_parts.append(bits)
-            total_messages += len(control_messages)
-            total_bits += int(bits.sum())
-            max_message_bits = max(max_message_bits, int(bits.max()))
-        codes = np.concatenate(edge_codes_parts)
-        _, inverse = np.unique(codes, return_inverse=True)
-        edge_messages = np.bincount(
-            inverse, weights=np.concatenate(edge_messages_parts)
+            receivers_by_kind[kind] = np.concatenate(batch.receivers)
+            row_bits_by_kind[kind] = np.concatenate(batch.row_bits)
+        traffic = _delivered_traffic(
+            kinds, receivers_by_kind, row_bits_by_kind, control_messages, n
         )
-        edge_bits = np.bincount(
-            inverse, weights=np.concatenate(edge_bits_parts)
-        )
-        max_edge_messages = int(edge_messages.max())
-        if max_edge_messages > self._policy.messages_per_edge:
-            over = int(codes[np.argmax(edge_messages[inverse])])
+        if traffic.max_edge_messages > self._policy.messages_per_edge:
+            over = int(traffic.edges[np.argmax(traffic.edge_messages)])
             raise CongestViolation(
                 f"edge ({over // n} -> {over % n}) carries "
-                f"{max_edge_messages} messages this round "
+                f"{traffic.max_edge_messages} messages this round "
                 f"(limit {self._policy.messages_per_edge})"
             )
-        traffic = RoundTraffic(
-            total_messages=total_messages,
-            total_bits=total_bits,
-            max_edge_messages=max_edge_messages,
-            max_edge_bits=int(edge_bits.max()),
-            max_message_bits=max_message_bits,
-            edge_messages=edge_messages.astype(np.int64),
-            edge_bits=edge_bits.astype(np.int64),
-        )
         return BulkRound(kinds, receivers_by_kind, row_bits_by_kind, traffic)

@@ -88,8 +88,8 @@ class ExchangeEngine:
     ) -> None:
         # Claimed exchange traffic needs no processing: receivers read
         # their neighbors' columns straight from the count tensor at the
-        # finish round.  Taking it still matters - it keeps the rows
-        # from being materialized per node.
+        # finish round.  Claiming it still matters: the scheduler refuses
+        # bulk rows no driver claims.
         if self._done or round_number < self.start:
             return
         n = self.n

@@ -33,7 +33,6 @@ arbitrary graphs first); source ids double as count-vector indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,10 +50,6 @@ from repro.congest.primitives.flood import (
     FloodMaxState,
 )
 from repro.congest.reliable import KIND_ACK, ReliableChannel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import BulkRoundContext
-    from repro.congest.transport import BulkInbox
 from repro.core.flow_math import betweenness_from_raw_flow, node_raw_flow
 from repro.core.termination import KIND_DONE, KIND_TERM, DeathCounterLogic
 from repro.core.walk_engine import CountingWalkEngine
@@ -216,12 +211,13 @@ class RWBCNodeProgram(VectorizedProgram):
     ``exchange_start_round`` / ``finish_round`` for the complexity
     experiments.
 
-    The program is a :class:`VectorizedProgram`: walk and exchange
-    traffic can travel as aggregate per-edge counts on the scheduler's
-    fast path.  Both paths funnel each round's walk arrivals through one
-    grouped :meth:`WalkManager.receive_group_arrays` call, so the random
-    stream - and therefore every tally and every message count - is
-    identical for the same seed.
+    The program is a :class:`VectorizedProgram`: on the scheduler's fast
+    path it hands walk traffic to the shared :class:`CountingWalkEngine`
+    and, fault-free, the exchange phase to the shared exchange engine,
+    both network-wide drivers.  Both paths process each node's round of
+    walk arrivals as one canonical group array with that node's own
+    generator, so the random stream - and therefore every tally and
+    every message count - is identical for the same seed.
     """
 
     def __init__(
@@ -248,19 +244,16 @@ class RWBCNodeProgram(VectorizedProgram):
         # Fast path only: the shared network-wide counting engine.
         self._engine: CountingWalkEngine | None = None
         self._neighbor_degrees: dict[int, int] = {}
-        # One (2, n) half-count slab per neighbor, backed by a single
-        # (degree, 2, n) matrix so the fast path can scatter a whole
-        # round's exchange arrivals in one vectorized store.  The dict
-        # values are views into the matrix - both access paths see the
-        # same data.
-        self._neighbor_index = np.array(info.neighbors, dtype=np.int64)
-        self._neighbor_matrix = np.zeros(
-            (info.degree, 2, info.n), dtype=np.int64
-        )
+        # One (2, n) half-count slab per neighbor, filled by the exchange.
         self._neighbor_counts: dict[int, np.ndarray] = {
-            neighbor: self._neighbor_matrix[j]
-            for j, neighbor in enumerate(info.neighbors)
+            neighbor: np.zeros((2, info.n), dtype=np.int64)
+            for neighbor in info.neighbors
         }
+        # Distinct exchange columns received per neighbor (and which
+        # ones, allocated on first arrival): the exchange may finish
+        # only with all n from every neighbor.
+        self._xch_received: dict[int, int] = dict.fromkeys(info.neighbors, 0)
+        self._xch_seen: dict[int, np.ndarray] = {}
         self._exchange_start: int | None = None
         # Reliable-mode state (all inert when config.reliable is False).
         self._channel: ReliableChannel | None = None
@@ -268,7 +261,6 @@ class RWBCNodeProgram(VectorizedProgram):
         self._early_terms: list[tuple[int, int]] = []
         self._announced = False
         self._next_column = 0
-        self._xch_received: dict[int, int] = dict.fromkeys(info.neighbors, 0)
         if config.reliable:
             self._channel = ReliableChannel(
                 node_id=info.node_id,
@@ -304,28 +296,14 @@ class RWBCNodeProgram(VectorizedProgram):
         if self.phase == PHASE_SETUP:
             self._setup_round(ctx, inbox)
         elif self.phase == PHASE_COUNTING:
-            self._counting_round(ctx, inbox)
+            if self._engine is not None:
+                self._counting_round_engine(ctx, inbox)
+            else:
+                self._counting_round(ctx, inbox)
         elif self.phase == PHASE_EXCHANGE:
             self._exchange_round(ctx, inbox)
         else:  # PHASE_DONE: ignore stragglers (none are expected
             # fault-free; under recovery, re-ack so peers stop retrying).
-            self._done_round(ctx, inbox)
-
-    def on_bulk_round(
-        self,
-        ctx: BulkRoundContext,
-        inbox: list[Message],
-        bulk: BulkInbox | None,
-    ) -> None:
-        if self.phase == PHASE_SETUP:
-            # Setup traffic (flood-max, degrees) is lightweight control
-            # traffic; it stays per-message on both paths.
-            self._setup_round(ctx, inbox)
-        elif self.phase == PHASE_COUNTING:
-            self._counting_round_engine(ctx, inbox)
-        elif self.phase == PHASE_EXCHANGE:
-            self._exchange_round(ctx, inbox, bulk)
-        else:
             self._done_round(ctx, inbox)
 
     def _done_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
@@ -524,7 +502,7 @@ class RWBCNodeProgram(VectorizedProgram):
         for sender, total in self._early_terms:
             self._death_counter.receive_report(sender, total)
         self._early_terms = []
-        shared = getattr(ctx, "shared", None)
+        shared = ctx.shared
         if shared is not None:
             # Fast path: join (or create) the network-wide engine.  This
             # must precede launch() so the launch visits land in the
@@ -554,7 +532,7 @@ class RWBCNodeProgram(VectorizedProgram):
     # Phase 2: counting (Algorithm 1)
     # ------------------------------------------------------------------
     def _counting_round_engine(
-        self, ctx: BulkRoundContext, inbox: list[Message]
+        self, ctx: RoundContext, inbox: list[Message]
     ) -> None:
         """Fast-path counting round: only control mail reaches the node
         (walk traffic is claimed by the engine), so this just folds in
@@ -714,13 +692,17 @@ class RWBCNodeProgram(VectorizedProgram):
         )
 
     def _store_exchange(self, sender: int, payload: tuple[int, ...]) -> None:
-        """Fold one fresh (deduplicated) exchange column from a
-        neighbor; reliable mode only."""
+        """Fold one exchange column from a neighbor and count it once."""
         source, count_a, count_b = payload
         slab = self._neighbor_counts[sender]
         slab[0, source] = count_a
         slab[1, source] = count_b
-        self._xch_received[sender] += 1
+        seen = self._xch_seen.get(sender)
+        if seen is None:
+            seen = self._xch_seen[sender] = np.zeros(self.info.n, dtype=bool)
+        if not seen[source]:
+            seen[source] = True
+            self._xch_received[sender] += 1
 
     def _begin_done_wave(self, ctx: RoundContext, done_round: int) -> None:
         self._exchange_start = done_round
@@ -745,7 +727,7 @@ class RWBCNodeProgram(VectorizedProgram):
                 ctx.send(child, KIND_DONE, done_round)
         self.phase = PHASE_EXCHANGE
         self.exchange_start_round = done_round
-        shared = getattr(ctx, "shared", None)
+        shared = ctx.shared
         if shared is not None and self._channel is not None:
             # Reliable mode: the exchange is self-paced, one step every
             # round from the next one on.  When this transition fired
@@ -785,12 +767,7 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     # Phase 3: exchange (Algorithm 2) + local computation
     # ------------------------------------------------------------------
-    def _exchange_round(
-        self,
-        ctx: RoundContext,
-        inbox: list[Message],
-        bulk: BulkInbox | None = None,
-    ) -> None:
+    def _exchange_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
         if self._channel is not None:
             self._exchange_round_reliable(ctx, inbox)
             return
@@ -798,33 +775,13 @@ class RWBCNodeProgram(VectorizedProgram):
         r = ctx.round_number
         for message in inbox:
             if message.kind == KIND_EXCHANGE:
-                source, count_a, count_b = message.fields
-                self._neighbor_counts[message.sender][0, source] = count_a
-                self._neighbor_counts[message.sender][1, source] = count_b
+                self._store_exchange(message.sender, message.fields)
             elif message.kind in (KIND_TERM, KIND_DONE):
                 continue  # stragglers from the counting phase
             elif message.kind in (KIND_WALK, KIND_WALK_BATCH):
                 raise ProtocolError(
                     "walk message arrived during exchange at node "
                     f"{self.node_id}: termination detection is broken"
-                )
-        if bulk:
-            if KIND_WALK in bulk or KIND_WALK_BATCH in bulk:
-                raise ProtocolError(
-                    "walk message arrived during exchange at node "
-                    f"{self.node_id}: termination detection is broken"
-                )
-            exchange = bulk.get(KIND_EXCHANGE)
-            if exchange is not None:
-                rows = np.searchsorted(
-                    self._neighbor_index, exchange.senders
-                )
-                source_column = exchange.fields[:, 0]
-                self._neighbor_matrix[rows, 0, source_column] = (
-                    exchange.fields[:, 1]
-                )
-                self._neighbor_matrix[rows, 1, source_column] = (
-                    exchange.fields[:, 2]
                 )
         if self._xch_engine is not None:
             # The shared driver broadcasts this node's columns and calls
@@ -836,21 +793,15 @@ class RWBCNodeProgram(VectorizedProgram):
             source = r - start
             count_a = int(self._walks.half_counts[0, source])
             count_b = int(self._walks.half_counts[1, source])
-            bulk_outbox = getattr(ctx, "bulk", None)
-            if bulk_outbox is not None:
-                # Same broadcast, shipped as one aggregate push.  The
-                # receivers are exactly this node's neighbors, so the
-                # send_bulk adjacency check would be redundant.
-                fields = np.empty((self.degree, 3), dtype=np.int64)
-                fields[:, 0] = source
-                fields[:, 1] = count_a
-                fields[:, 2] = count_b
-                bulk_outbox.push(
-                    self.node_id, KIND_EXCHANGE, self._neighbor_index, fields
-                )
-            else:
-                ctx.broadcast(KIND_EXCHANGE, source, count_a, count_b)
+            ctx.broadcast(KIND_EXCHANGE, source, count_a, count_b)
         elif r >= start + n:
+            short = [v for v in self.neighbors if self._xch_received[v] < n]
+            if short:
+                raise ProtocolError(
+                    f"node {self.node_id} reached the end of the exchange "
+                    f"missing columns from neighbor(s) {short}: exchange "
+                    "messages were lost"
+                )
             self._finish(r)
 
     def _exchange_round_reliable(

@@ -54,7 +54,7 @@ from repro.core.walk_manager import (
 from repro.walks.batched import aggregate_network_groups
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.congest.node import BulkRoundContext, NodeProgram
+    from repro.congest.node import NodeProgram, RoundContext
     from repro.congest.transport import BulkOutbox, RoundOutbox
 
 #: Claimed traffic of one kind: (senders, receivers, fields, multiplicity).
@@ -227,7 +227,7 @@ class CountingWalkEngine:
         self._programs: dict[int, NodeProgram] = {}
         self._managers: dict[int, WalkManager] = {}
         self._counters: dict[int, DeathCounterLogic] = {}
-        self._contexts: dict[int, BulkRoundContext] = {}
+        self._contexts: dict[int, RoundContext] = {}
         self._rngs: dict[int, np.random.Generator] = {}
         self._touched: set[int] = set()
         # Reliable-mode state: per-node ARQ channels, fresh walk tokens
@@ -274,7 +274,7 @@ class CountingWalkEngine:
         program: "NodeProgram",
         manager: WalkManager,
         counter: DeathCounterLogic,
-        ctx: "BulkRoundContext",
+        ctx: "RoundContext",
         channel=None,
     ) -> None:
         """Adopt one node.  Must run before the manager launches its
@@ -301,12 +301,11 @@ class CountingWalkEngine:
         self._channels[node] = channel
         if channel is not None:
             self._reliable = True
-        shared = getattr(ctx, "shared", None)
-        if shared is not None:
-            if self._fault_runtime is None:
-                self._fault_runtime = shared.fault_runtime
-            self._profiler = shared.profiler
-            self._instruments = shared.instruments
+        shared = ctx.shared
+        if self._fault_runtime is None:
+            self._fault_runtime = shared.fault_runtime
+        self._profiler = shared.profiler
+        self._instruments = shared.instruments
 
     def touch(self, node: int) -> None:
         """Mark a node as active this round (it ran for control mail),

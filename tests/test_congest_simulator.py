@@ -1,5 +1,6 @@
 """Tests for the scheduler, transport enforcement, and metrics."""
 
+import numpy as np
 import pytest
 
 from repro.congest.errors import (
@@ -9,7 +10,7 @@ from repro.congest.errors import (
     RoundLimitExceeded,
 )
 from repro.congest.message import Message
-from repro.congest.node import NodeProgram
+from repro.congest.node import NodeProgram, VectorizedProgram
 from repro.congest.scheduler import Simulator, run_program
 from repro.congest.transport import BandwidthPolicy, RoundOutbox
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
@@ -76,6 +77,34 @@ class NonNeighborSender(NodeProgram):
 class NeverHalts(NodeProgram):
     def on_round(self, ctx, inbox):
         pass
+
+
+class RoguePusher:
+    """Fast-path driver claiming kind ``"mine"`` that, in round 1,
+    pushes one bulk row of kind ``"rogue"`` from node 0 to node 1."""
+
+    claimed_kinds = frozenset({"mine"})
+
+    def end_round(self, round_number, claimed, outbox, bulk_outbox):
+        if round_number == 1:
+            bulk_outbox.push_rows(
+                "rogue",
+                np.array([0]),
+                np.array([1]),
+                np.zeros((1, 1), dtype=np.int64),
+            )
+
+
+class DriverHost(VectorizedProgram):
+    """Node 0 registers a :class:`RoguePusher`; every node halts in
+    round 1."""
+
+    def on_start(self, ctx):
+        if self.node_id == 0:
+            ctx.shared.register_driver(RoguePusher())
+
+    def on_round(self, ctx, inbox):
+        self.halt()
 
 
 class TestSimulatorBasics:
@@ -263,3 +292,12 @@ class TestMetrics:
         summary = result.metrics.summary()
         assert summary["total_messages"] == 4
         assert summary["rounds"] == 1
+
+
+class TestDriverTraffic:
+    def test_unclaimed_bulk_kind_raises_naming_it(self):
+        """On the fast path bulk rows are driver traffic only: rows of a
+        kind no driver claims are refused, not delivered to nodes."""
+        simulator = Simulator(path_graph(2), DriverHost, vectorized=True)
+        with pytest.raises(ProtocolError, match="rogue"):
+            simulator.run()

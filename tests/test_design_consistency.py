@@ -79,3 +79,53 @@ class TestExamplesImportable:
         py_compile.compile(
             str(REPO / "examples" / f"{name}.py"), doraise=True
         )
+
+
+def _src_names() -> set[str]:
+    """Every class (at any depth) and module-level name under src/repro."""
+    import ast
+
+    names: set[str] = set()
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        )
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets
+                    if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                names.update(
+                    leaf.id
+                    for target in targets
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Name)
+                )
+    return names
+
+
+class TestDocumentedNames:
+    """A backticked CamelCase name in the prose docs (alone, or leading
+    a ``Name.attr`` / ``Name(...)`` span) must name something that
+    exists, so a deleted class cannot linger in the documentation."""
+
+    DOCS = sorted((REPO / "docs").glob("*.md")) + [
+        REPO / name for name in ("DESIGN.md", "README.md", "EXPERIMENTS.md")
+    ]
+    CAMEL = re.compile(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?=[`.(])")
+
+    def test_backticked_camelcase_names_exist(self):
+        names = _src_names()
+        missing = sorted(
+            f"{doc.relative_to(REPO)}: {name}"
+            for doc in self.DOCS
+            for name in set(self.CAMEL.findall(doc.read_text(encoding="utf-8")))
+            if name not in names
+        )
+        assert not missing, missing

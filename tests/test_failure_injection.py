@@ -21,6 +21,7 @@ from repro.congest.errors import (
 from repro.congest.faults import CrashWindow, FaultPlan
 from repro.congest.primitives.bfs import make_bfs_factory
 from repro.congest.scheduler import Simulator
+from repro.congest.transport import BandwidthPolicy
 from repro.core.estimator import estimate_rwbc_distributed
 from repro.core.exact import rwbc_exact
 from repro.core.parameters import WalkParameters
@@ -81,18 +82,45 @@ class TestLossyRWBCProtocol:
         """Without the reliable layer, loss breaks the protocol
         *loudly*: either a dropped control message trips a protocol
         invariant, or dropped walk tokens starve the termination
-        detector until the round limit - never a silent wrong answer."""
+        detector until the round limit - never a silent wrong answer.
+
+        Inputs: random drops throughout, and a crash that costs the
+        exchange phase four column messages (node 2 down for two
+        rounds right after the exchange starts), on both loops."""
         graph = cycle_graph(8)
-        config = ProtocolConfig(length=40, walks_per_source=10)
-        simulator = Simulator(
-            graph,
-            make_protocol_factory(config),
+        lossy = dict(
+            config=ProtocolConfig(length=40, walks_per_source=10),
             seed=2,
             drop_rate=0.2,
             max_rounds=2000,
         )
-        with pytest.raises((ProtocolError, RoundLimitExceeded)):
-            simulator.run()
+        crash_config = ProtocolConfig(length=20, walks_per_source=4)
+        crash_policy = BandwidthPolicy(n=8, messages_per_edge=4)
+        fault_free = Simulator(
+            graph,
+            make_protocol_factory(crash_config),
+            policy=crash_policy,
+            seed=5,
+        ).run()
+        start = fault_free.program(0).exchange_start_round
+        crash = dict(
+            config=crash_config,
+            policy=crash_policy,
+            seed=5,
+            faults=FaultPlan(
+                seed=0,
+                crashes=(CrashWindow(node=2, start=start + 1, end=start + 3),),
+            ),
+        )
+        for case in (lossy, crash):
+            options = dict(case)
+            factory = make_protocol_factory(options.pop("config"))
+            for vectorized in (False, True):
+                simulator = Simulator(
+                    graph, factory, vectorized=vectorized, **options
+                )
+                with pytest.raises((ProtocolError, RoundLimitExceeded)):
+                    simulator.run()
 
     def test_reproducible_drops(self):
         graph = path_graph(6)
