@@ -9,7 +9,8 @@ Commands
 ``chaos``     distributed estimation under injected faults
 ``sweep``     run a named scenario suite and append to its committed
               ``BENCH_<suite>.json`` trajectory (``--check`` gates on
-              regressions against the previous entry)
+              regressions against the previous entry and on twin rows
+              that differ)
 ``observe``   telemetry toolkit: run (record a JSONL artifact),
               report (render one), diff (compare two),
               trend (render a trajectory file's history)
@@ -232,10 +233,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
-    from repro.experiments.scenarios import SUITES, run_suite, suite_scenarios
+    from repro.experiments.scenarios import (
+        SUITES,
+        TWINS,
+        run_suite,
+        suite_scenarios,
+    )
     from repro.obs.trajectory import (
         append_entry,
         compare_entries,
+        compare_twins,
         load_trajectory,
         new_entry,
     )
@@ -275,28 +282,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     baseline_path = args.baseline or (
         out_path if os.path.exists(out_path) else None
     )
-    regressions = []
+    regressions = compare_twins(entry, TWINS.get(args.suite, ()))
+    print()
     if baseline_path:
         baseline = load_trajectory(baseline_path)
         if baseline["entries"]:
             previous = baseline["entries"][-1]
-            regressions = compare_entries(
+            regressions += compare_entries(
                 previous,
                 entry,
                 wall_ratio=args.wall_ratio,
                 wall_clock=args.wall_clock,
                 wall_floor=args.wall_floor,
             )
-            print()
             print(
                 f"# compared against {baseline_path} entry "
                 f"sha={previous.get('sha')} date={previous.get('date')}"
             )
-            if regressions:
-                for regression in regressions:
-                    print(f"# REGRESSION {regression}")
-            else:
-                print("# no regressions")
+    for regression in regressions:
+        print(f"# REGRESSION {regression}")
+    if not regressions:
+        print("# no regressions")
     if args.check and regressions:
         print(
             f"error: {len(regressions)} regression(s) against the "
@@ -365,7 +371,7 @@ def _cmd_observe_run(args: argparse.Namespace) -> int:
         tracer=tracer,
     )
     path_label = (
-        "fast path" if not result.fallback_reasons else "per-message loop"
+        "fast path" if not result.fallback_reasons else "per-message mode"
     )
     print(
         f"# observed run: n={graph.num_nodes} rounds={result.total_rounds} "
@@ -592,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit 1 when the fresh run regresses against the previous "
-        "trajectory entry",
+        "trajectory entry, or when twin rows (scenarios.TWINS) differ",
     )
     sweep.add_argument(
         "--baseline",
@@ -665,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe_run.add_argument(
         "--slow",
         action="store_true",
-        help="force the per-message loop (vectorized=False)",
+        help="force per-message mode (vectorized=False)",
     )
     observe_run.add_argument(
         "--trace",

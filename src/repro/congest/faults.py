@@ -20,7 +20,7 @@ Every per-message fault decision is a *pure hash* of
 is the message's position among the round's messages on that directed
 edge and kind, counted in canonical delivery order (control messages in
 outbox push order first, then aggregate bulk rows in row order).  There
-is no sequential RNG stream to keep aligned, so the per-message loop
+is no sequential RNG stream to keep aligned, so per-message mode
 and the vectorized fast path - which materialize the very same traffic
 in different containers - reach *identical* decisions, and a plan's
 schedule is independent of the protocol seed (one fault schedule can be
@@ -330,7 +330,7 @@ class FaultRuntime:
        counters carry across the two calls, fixing the canonical
        control-then-bulk order;
     4. :meth:`take_delayed` - traffic delayed in earlier rounds that
-       matures now (delivered after the fresh traffic, in both loops).
+       matures now (delivered after the fresh traffic, in both modes).
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -612,7 +612,7 @@ class FaultRuntime:
 
         Each row stands for ``multiplicity[i]`` identical messages,
         occupying consecutive indices in its edge's canonical order -
-        exactly the positions the per-message loop assigns to the same
+        exactly the positions per-message mode assigns to the same
         traffic - so decisions agree bit-for-bit across the loops.
         """
         down = self.crashed(round_number)

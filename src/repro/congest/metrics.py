@@ -42,45 +42,15 @@ class RunMetrics:
     # Rounds already attributed to some phase by mark_phase.
     _attributed_rounds: int = field(default=0, repr=False, compare=False)
 
-    def record_round(self, messages: list[Message]) -> None:
-        """Fold one round's delivered messages into the totals."""
-        self.rounds += 1
-        round_bits = 0
-        edge_messages: dict[tuple[int, int], int] = {}
-        edge_bits: dict[tuple[int, int], int] = {}
-        for message in messages:
-            edge = (message.sender, message.receiver)
-            edge_messages[edge] = edge_messages.get(edge, 0) + 1
-            edge_bits[edge] = edge_bits.get(edge, 0) + message.bits
-            round_bits += message.bits
-            if message.bits > self.max_message_bits:
-                self.max_message_bits = message.bits
-        if edge_messages:
-            self.max_messages_per_edge_round = max(
-                self.max_messages_per_edge_round, max(edge_messages.values())
-            )
-            self.max_bits_per_edge_round = max(
-                self.max_bits_per_edge_round, max(edge_bits.values())
-            )
-        self.total_messages += len(messages)
-        self.total_bits += round_bits
-        self.messages_per_round.append(len(messages))
-        self.bits_per_round.append(round_bits)
-        if self.instruments is not None and edge_messages:
-            self.instruments.observe_values(
-                "messages_per_edge_round", edge_messages.values()
-            )
-            self.instruments.observe_values(
-                "bits_per_edge_round", edge_bits.values()
-            )
-
     def record_round_aggregate(self, traffic) -> None:
-        """Fold one fast-path round into the totals.
+        """Fold one delivered round into the totals.
 
         ``traffic`` is a :class:`~repro.congest.transport.RoundTraffic`
-        with the round's merged (bulk + control) numbers; the resulting
-        counters are identical to what :meth:`record_round` computes from
-        the materialized messages of the equivalent slow-path round.
+        with the round's merged (bulk + control) numbers, as
+        :meth:`BulkOutbox.drain <repro.congest.transport.BulkOutbox.drain>`
+        or :meth:`BulkRound.apply_faults
+        <repro.congest.transport.BulkRound.apply_faults>` computed them;
+        the scheduler records every round of both execution modes here.
         """
         self.rounds += 1
         self.total_messages += traffic.total_messages

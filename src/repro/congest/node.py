@@ -121,8 +121,9 @@ class RoundContext:
 class SharedFastPathState:
     """Per-run coordination space for cooperating fast-path programs.
 
-    The scheduler creates one instance per vectorized run and exposes it
-    as ``ctx.shared`` on every :class:`RoundContext` it builds.  Programs
+    On a fast-path run the scheduler exposes one instance as
+    ``ctx.shared`` on every :class:`RoundContext` it builds (in
+    per-message mode ``ctx.shared`` is ``None``, so no driver exists).  Programs
     that want to batch work *across* nodes store a common engine object
     in :attr:`slots` and register it as a *driver*:
 
@@ -201,8 +202,8 @@ class NodeProgram(abc.ABC):
         self.rng = rng
         self._halted = False
         # Optional observer called with +1/-1 on halt/unhalt transitions;
-        # the fast-path scheduler installs one so global termination is
-        # an O(1) counter check instead of an O(n) scan per round.
+        # the scheduler installs one so global termination is an O(1)
+        # counter check instead of an O(n) scan per round.
         self._halt_sink = None
 
     # -- framework hooks -------------------------------------------------

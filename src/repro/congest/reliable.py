@@ -223,8 +223,8 @@ class ChannelStats:
 class ReliableChannel:
     """One node's reliable channel endpoints to all its neighbors.
 
-    Both execution loops mutate the *same* channel objects: the
-    per-message loop from inside each node's round handler, the fast
+    Both execution modes mutate the *same* channel objects: per-message
+    mode from inside each node's round handler, the fast
     path from the network-wide walk engine.  All methods are
     deterministic given the delivered-message history.
 
@@ -359,7 +359,7 @@ class ReliableChannel:
 
         The edge owes an ack either way, so it is marked active; at most
         one copy is accepted and every other copy is charged to
-        ``duplicates_rejected``.  The per-message loop calls this once
+        ``duplicates_rejected``.  Per-message mode calls this once
         per message (via :meth:`receive`), the fast-path walk engine
         once per claimed row - one acceptance rule for both."""
         self._active.add(sender)

@@ -58,7 +58,7 @@ class SimulationResult:
     fast_path: bool = False
     # Why the fast path was not used (empty on fast-path runs): the
     # human-readable reasons from eligibility selection, so callers can
-    # tell an intentional slow-path run from a silent degradation.
+    # tell an intentional per-message run from a silent degradation.
     fallback_reasons: tuple[str, ...] = ()
 
     def program(self, node_id: int) -> NodeProgram:
@@ -88,11 +88,11 @@ class Simulator:
         Keep the full per-round message log (needed for cut-bit counting
         in the lower-bound experiments; memory-heavy otherwise).
     tracer:
-        Optional :class:`Tracer` for debugging.  Both execution loops
+        Optional :class:`Tracer` for debugging.  Both execution modes
         emit the same ``deliver`` events (the fast path expands its
         aggregate rows into per-message events at delivery time), so a
-        tracer no longer forces per-message dispatch; event *order*
-        within a round may differ between loops.
+        tracer does not force per-message mode; event *order* within a
+        round may differ between modes.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When set, the run
         records phase/kernel wall-clock spans, a per-round wall series,
@@ -117,22 +117,22 @@ class Simulator:
     faults:
         A full :class:`~repro.congest.faults.FaultPlan` - seeded
         per-edge drop/duplicate/delay schedules and per-node crash
-        windows.  Applied identically by both execution loops at
-        delivery time; injected-fault counts land in
+        windows.  Applied by the one fault filter at delivery time, in
+        both execution modes; injected-fault counts land in
         ``metrics.faults``.  Mutually exclusive with ``drop_rate``.
     vectorized:
-        Fast-path selection.  ``None`` (default) auto-selects: the
-        vectorized loop runs when every program is a
+        Execution-mode selection; both modes run the same round loop
+        (see :meth:`_run_rounds`).  ``None`` (default) auto-selects: the
+        fast path runs when every program is a
         :class:`VectorizedProgram` and nothing demands per-message
-        fidelity (``record_messages`` forces the per-message loop;
-        tracers, telemetry, and fault injection do *not* - the fast
-        path emits the same trace events and applies the same seeded
-        fault schedule on its aggregate arrays).
-        ``False`` always runs the per-message loop; ``True`` requires
-        the fast path and raises :class:`ConfigError` when it is
-        unavailable.  Both loops produce identical results for the same
-        seed and fault plan (tested equivalence, see
-        ``tests/test_walks_batched.py`` and
+        fidelity (``record_messages`` forces per-message mode; tracers,
+        telemetry, and fault injection do *not* - the fast path emits
+        the same trace events and applies the same seeded fault
+        schedule on its aggregate arrays).  ``False`` always runs
+        per-message mode; ``True`` requires the fast path and raises
+        :class:`ConfigError` when it is unavailable.  Both modes produce
+        identical results for the same seed and fault plan (tested
+        equivalence, see ``tests/test_walks_batched.py`` and
         ``tests/test_failure_injection.py``).
     """
 
@@ -251,151 +251,59 @@ class Simulator:
             fallback_reasons = ("vectorized=False requested",)
         else:
             reasons = self._bulk_reasons_against(programs)
-            if not reasons:
-                return self._run_bulk(programs)
-            if self.vectorized is True:
+            if reasons and self.vectorized is True:
                 raise ConfigError(
                     "vectorized=True but the fast path is unavailable: "
                     + "; ".join(reasons)
                 )
             fallback_reasons = tuple(reasons)
+        return self._run_rounds(programs, fallback_reasons)
+
+    def _run_rounds(
+        self,
+        programs: dict[int, NodeProgram],
+        fallback_reasons: tuple[str, ...],
+    ) -> SimulationResult:
+        """The round loop, for both execution modes.
+
+        Each round: enforce the round limit, run last round's traffic
+        through the fault plan, record metrics and trace events, hand
+        claimed bulk rows to their drivers, step nodes through
+        :meth:`NodeProgram.on_round` with their control messages, run
+        the drivers' end of round, and drain the outboxes.  Bandwidth
+        limits are enforced on the merged control + bulk load of every
+        edge, and :class:`RunMetrics` records every round through
+        :meth:`RunMetrics.record_round_aggregate`.
+
+        The two modes differ only in what the contexts carry and in
+        which nodes are stepped:
+
+        * **fast path** (empty ``fallback_reasons``): contexts carry
+          ``shared`` (see :class:`SharedFastPathState`).  Through it,
+          programs register cross-node *drivers*: a driver claims whole
+          message kinds, ships them as aggregate per-edge rows
+          (:class:`BulkOutbox`) and processes them network-wide once per
+          round instead of node by node.  Bulk rows of a kind no driver
+          claims raise :class:`ProtocolError`.  Only nodes with mail or
+          a due ``next_wake`` are stepped, and idle ones are skipped
+          (the :class:`VectorizedProgram` ``bulk_idle`` contract);
+        * **per-message mode**: ``shared`` is ``None``, so no driver and
+          no bulk row ever exists, and every live node is stepped every
+          round, plus every halted node that has mail.  ``bulk_idle``
+          and ``next_wake`` are never consulted.  This is the reference
+          semantics the cross-mode equivalence tests compare against.
+        """
+        fast = not fallback_reasons
         metrics = RunMetrics(instruments=self._instruments)
         profiler = self._profiler
         message_log: list[list[Message]] = []
         outbox = RoundOutbox(self.policy)
-        order = self.graph.canonical_order()
-        fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
-
-        # Round 0: on_start, no deliveries.
-        for node in order:
-            ctx = RoundContext(
-                node, programs[node].neighbors, outbox, round_number=0
-            )
-            programs[node].on_start(ctx)
-
-        in_flight = outbox.drain()
-        round_number = 0
-        while True:
-            all_halted = all(p.halted for p in programs.values())
-            pending_delayed = (
-                fault_rt is not None and fault_rt.has_pending_delayed
-            )
-            if all_halted and not in_flight and not pending_delayed:
-                break
-            round_number += 1
-            profiler.round_tick(round_number)
-            if round_number > self.max_rounds:
-                error_cls = (
-                    UnrecoverableLossError
-                    if fault_rt is not None
-                    else RoundLimitExceeded
-                )
-                raise error_cls(
-                    f"no termination after {self.max_rounds} rounds "
-                    f"({sum(p.halted for p in programs.values())}/"
-                    f"{len(programs)} nodes halted, "
-                    f"{len(in_flight)} messages in flight)",
-                    context={
-                        "round": round_number,
-                        "max_rounds": self.max_rounds,
-                        "halted": sum(
-                            p.halted for p in programs.values()
-                        ),
-                        "nodes": len(programs),
-                        "in_flight": len(in_flight),
-                        "faults": (
-                            fault_rt.counters.summary()
-                            if fault_rt is not None
-                            else None
-                        ),
-                    },
-                    metrics=metrics,
-                )
-            # Deliver last round's messages through the fault plan.
-            crashed_now: frozenset[int] = frozenset()
-            if fault_rt is not None:
-                with profiler.span("faults.filter"):
-                    crashed_now = fault_rt.crashed(round_number)
-                    fault_rt.note_crash_rounds(len(crashed_now))
-                    fault_rt.begin_round(round_number)
-                    in_flight = fault_rt.filter_messages(
-                        round_number, in_flight
-                    )
-                    matured, _ = fault_rt.take_delayed(round_number)
-                    in_flight = in_flight + matured
-                if self._instruments is not None:
-                    self._instruments.record_fault_counters(
-                        round_number, fault_rt.counters.snapshot()
-                    )
-            with profiler.span("deliver"):
-                inboxes: dict[int, list[Message]] = {
-                    node: [] for node in order
-                }
-                for message in in_flight:
-                    inboxes[message.receiver].append(message)
-                    self.tracer.record(
-                        round_number,
-                        message.receiver,
-                        "deliver",
-                        message.kind,
-                        message.sender,
-                    )
-                metrics.record_round(in_flight)
-            if self.record_messages:
-                message_log.append(in_flight)
-            # Every node acts each round; receiving mail un-halts a node.
-            with profiler.span("nodes"):
-                for node in order:
-                    if node in crashed_now:
-                        continue  # down: executes nothing, sends nothing
-                    program = programs[node]
-                    inbox = inboxes[node]
-                    if program.halted and not inbox:
-                        continue
-                    if program.halted and inbox:
-                        program.unhalt()
-                    ctx = RoundContext(
-                        node, program.neighbors, outbox, round_number
-                    )
-                    program.on_round(ctx, inbox)
-            in_flight = outbox.drain()
-
-        profiler.run_finished()
-        if fault_rt is not None:
-            metrics.faults = fault_rt.counters.summary()
-        return SimulationResult(
-            programs=programs,
-            metrics=metrics,
-            tracer=self.tracer,
-            message_log=message_log,
-            fallback_reasons=fallback_reasons,
-        )
-
-    def _run_bulk(
-        self, programs: dict[int, NodeProgram]
-    ) -> SimulationResult:
-        """The vectorized fast path.
-
-        Identical round structure to :meth:`run`, and each node is
-        stepped through the same :meth:`NodeProgram.on_round` with its
-        control messages, but idle nodes are skipped outright (safe by
-        the :class:`VectorizedProgram` ``bulk_idle`` contract) and the
-        context carries ``shared`` (see :class:`SharedFastPathState`).
-        Through it, programs register cross-node *drivers*: a driver
-        claims whole message kinds, ships them as aggregate per-edge
-        rows (:class:`BulkOutbox`) and processes them network-wide once
-        per round instead of node by node.  Bulk rows of a kind no
-        driver claims raise :class:`ProtocolError`.  Bandwidth limits
-        are enforced on the merged control + bulk load of every edge,
-        and :class:`RunMetrics` receives exactly the numbers the
-        per-message loop would have recorded.
-        """
-        n = self.graph.num_nodes
-        metrics = RunMetrics(instruments=self._instruments)
-        profiler = self._profiler
-        outbox = RoundOutbox(self.policy)
         bulk_outbox = BulkOutbox(self.policy)
         order = self.graph.canonical_order()
+        # Base of the edge codes ``sender * base + receiver`` that the
+        # per-edge accounting groups by: unique for any int labels, not
+        # only 0..n-1.
+        base = 2 * max(abs(node) for node in order) + 1
         shared = SharedFastPathState()
         fault_rt = None if self.faults.is_trivial else FaultRuntime(self.faults)
         shared.fault_runtime = fault_rt
@@ -404,7 +312,7 @@ class Simulator:
         # O(1) global-termination accounting: every halt/unhalt
         # transition bumps this counter through the program's halt sink,
         # so the loop never scans all n programs per round.
-        halted_total = 0
+        halted_total = sum(p.halted for p in programs.values())
 
         def _note_halt(delta: int) -> None:
             nonlocal halted_total
@@ -417,7 +325,11 @@ class Simulator:
         # measurable overhead at scale.
         contexts = {
             node: RoundContext(
-                node, programs[node].neighbors, outbox, 0, shared
+                node,
+                programs[node].neighbors,
+                outbox,
+                0,
+                shared if fast else None,
             )
             for node in order
         }
@@ -436,10 +348,12 @@ class Simulator:
                     claimed_kinds[kind] = driver
             known_drivers = len(shared.drivers)
 
-        # Wake calendar: ``calendar[r]`` lists nodes that asked (via
-        # ``next_wake``) to be stepped in round ``r`` even without mail;
-        # ``wake_round`` is the authoritative per-node target so stale
-        # calendar entries (superseded by an earlier wake) are skipped.
+        # Wake calendar: ``calendar[r]`` lists nodes to step in round
+        # ``r`` even without mail; ``wake_round`` is the authoritative
+        # per-node target so stale calendar entries (superseded by an
+        # earlier wake) are skipped.  On the fast path a node's wake
+        # comes from its ``next_wake``; in per-message mode every live
+        # node wakes next round.
         calendar: dict[int, list[int]] = {}
         wake_round: dict[int, int] = {}
 
@@ -450,25 +364,28 @@ class Simulator:
             wake_round[node] = target
             calendar.setdefault(target, []).append(node)
 
+        def schedule_next(node: int, program: NodeProgram, r: int) -> None:
+            if program.halted:
+                return
+            wake = program.next_wake(r) if fast else r + 1
+            if wake is not None:
+                schedule_wake(node, wake)
+
         # Round 0: on_start, no deliveries.
         for node in order:
             programs[node].on_start(contexts[node])
-            if not programs[node].halted:
-                wake = programs[node].next_wake(0)
-                if wake is not None:
-                    schedule_wake(node, wake)
+            schedule_next(node, programs[node], 0)
         refresh_claims()
         in_flight = outbox.drain()
-        bulk_in_flight = bulk_outbox.drain(n, in_flight)
+        bulk_in_flight = bulk_outbox.drain(base, in_flight)
 
         round_number = 0
         while True:
-            all_halted = halted_total == n
             pending_delayed = (
                 fault_rt is not None and fault_rt.has_pending_delayed
             )
             if (
-                all_halted
+                halted_total == len(programs)
                 and not in_flight
                 and not bulk_in_flight
                 and not pending_delayed
@@ -484,16 +401,13 @@ class Simulator:
                 )
                 raise error_cls(
                     f"no termination after {self.max_rounds} rounds "
-                    f"({sum(p.halted for p in programs.values())}/"
-                    f"{len(programs)} nodes halted, "
+                    f"({halted_total}/{len(programs)} nodes halted, "
                     f"{len(in_flight) + bulk_in_flight.total_messages} "
                     "messages in flight)",
                     context={
                         "round": round_number,
                         "max_rounds": self.max_rounds,
-                        "halted": sum(
-                            p.halted for p in programs.values()
-                        ),
+                        "halted": halted_total,
                         "nodes": len(programs),
                         "in_flight": len(in_flight)
                         + bulk_in_flight.total_messages,
@@ -508,8 +422,7 @@ class Simulator:
             crashed_now: frozenset[int] = frozenset()
             if fault_rt is not None:
                 with profiler.span("faults.filter"):
-                    # Same application order as the per-message loop:
-                    # control messages first, then bulk rows (indices
+                    # Control messages first, then bulk rows (indices
                     # continue across the two), then matured delayed
                     # traffic; the replacement traffic numbers reflect
                     # what was actually delivered.
@@ -520,19 +433,21 @@ class Simulator:
                         round_number, in_flight
                     )
                     in_flight, bulk_in_flight = bulk_in_flight.apply_faults(
-                        fault_rt, round_number, n, in_flight
+                        fault_rt, round_number, base, in_flight
                     )
                 if self._instruments is not None:
                     self._instruments.record_fault_counters(
                         round_number, fault_rt.counters.snapshot()
                     )
             metrics.record_round_aggregate(bulk_in_flight.traffic)
+            if self.record_messages:
+                message_log.append(in_flight)
             if not isinstance(self.tracer, NullTracer):
-                # Expand this round's deliveries into the same per-
-                # message trace events the slow loop records (order is
-                # kind-major rather than delivery order; equivalence
-                # tests compare sorted streams).  Done before the
-                # claimed-kind divert so driver traffic is traced too.
+                # One per-message ``deliver`` event per delivered
+                # message; bulk rows are expanded (kind-major order,
+                # so equivalence tests compare sorted streams).  Done
+                # before the claimed-kind divert so driver traffic is
+                # traced too.
                 for message in in_flight:
                     self.tracer.record(
                         round_number,
@@ -573,10 +488,10 @@ class Simulator:
                     inboxes.setdefault(message.receiver, []).append(message)
             with profiler.span("nodes"):
                 # Step exactly the nodes with mail plus the ones whose
-                # wake round arrived; everything else provably has
-                # nothing to do this round (the ``next_wake`` /
-                # ``bulk_idle`` contract), so per-round cost tracks the
-                # active set instead of n.
+                # wake round arrived; on the fast path everything else
+                # provably has nothing to do this round (the
+                # ``next_wake`` / ``bulk_idle`` contract), so per-round
+                # cost tracks the active set instead of n.
                 step_set = set(inboxes)
                 for node in calendar.pop(round_number, ()):
                     if wake_round.get(node) == round_number:
@@ -586,8 +501,7 @@ class Simulator:
                     if node in crashed_now:
                         # Down: executes nothing, sends nothing, loses
                         # this round's mail.  Re-arm so the node is
-                        # re-examined right after it recovers, exactly
-                        # like the historical every-round scan did.
+                        # re-examined right after it recovers.
                         schedule_wake(node, round_number + 1)
                         continue
                     program = programs[node]
@@ -596,25 +510,23 @@ class Simulator:
                         if inbox is None:
                             continue
                         program.unhalt()
-                    elif inbox is None and program.bulk_idle:
+                    elif fast and inbox is None and program.bulk_idle:
                         continue
                     ctx = contexts[node]
                     ctx.round_number = round_number
                     program.on_round(ctx, inbox or [])
-                    if not program.halted:
-                        wake = program.next_wake(round_number)
-                        if wake is not None:
-                            schedule_wake(node, wake)
+                    schedule_next(node, program, round_number)
             if known_drivers != len(shared.drivers):
                 refresh_claims()
-            with profiler.span("drivers"):
-                for driver in shared.drivers:
-                    driver.end_round(
-                        round_number,
-                        claimed_traffic.get(id(driver), {}),
-                        outbox,
-                        bulk_outbox,
-                    )
+            if shared.drivers:
+                with profiler.span("drivers"):
+                    for driver in shared.drivers:
+                        driver.end_round(
+                            round_number,
+                            claimed_traffic.get(id(driver), {}),
+                            outbox,
+                            bulk_outbox,
+                        )
             if shared.wake_requests:
                 for node, target in shared.wake_requests:
                     # A target at or before the current round means
@@ -622,7 +534,7 @@ class Simulator:
                     schedule_wake(node, max(target, round_number + 1))
                 shared.wake_requests.clear()
             in_flight = outbox.drain()
-            bulk_in_flight = bulk_outbox.drain(n, in_flight)
+            bulk_in_flight = bulk_outbox.drain(base, in_flight)
 
         profiler.run_finished()
         if fault_rt is not None:
@@ -631,7 +543,9 @@ class Simulator:
             programs=programs,
             metrics=metrics,
             tracer=self.tracer,
-            fast_path=True,
+            message_log=message_log,
+            fast_path=fast,
+            fallback_reasons=fallback_reasons,
         )
 
 

@@ -4,8 +4,8 @@ Traces are opt-in and bounded: simulating thousands of rounds with
 per-message events would otherwise dominate memory.  Events are plain
 tuples so tests can assert on them directly.
 
-Both scheduler loops emit the same ``deliver`` events: the per-message
-loop as it routes each message, the vectorized fast path by expanding
+Both execution modes emit the same ``deliver`` events: per-message
+mode as it routes each message, the vectorized fast path by expanding
 its aggregate rows at delivery time (kind-major order, so only the
 within-round ordering differs; ``tests/test_congest_replay.py`` pins
 the sorted streams equal).  Attaching a tracer therefore does not

@@ -229,7 +229,7 @@ class BulkRound:
         control into bulk, fixing the canonical order).  Filters every
         kind's rows, folds in traffic *delayed into* this round, and
         recomputes the delivered :class:`RoundTraffic` - so RunMetrics
-        counts what actually arrived, exactly as the per-message loop's
+        counts what actually arrived, exactly as per-message mode's
         post-filter accounting does.  Returns the final control list
         (matured delayed messages appended) and the replacement round.
 
@@ -303,10 +303,10 @@ class BulkRound:
     def trace_into(self, tracer, round_number: int) -> None:
         """Emit one ``deliver`` trace event per materialized message of
         this round's bulk traffic - the same ``(round, receiver,
-        "deliver", kind, sender)`` tuples the per-message loop records,
+        "deliver", kind, sender)`` tuples per-message mode records,
         with multiplicity expanded.  Called by the fast path before any
         driver claims traffic, so claimed kinds are traced too.  Event
-        *order* differs from the slow loop (kind-major here, delivery
+        *order* differs from per-message mode (kind-major here, delivery
         order there); equivalence tests compare sorted streams."""
         for kind, batch in self._kinds.items():
             receivers = self._receivers[kind]

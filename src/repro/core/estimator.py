@@ -288,7 +288,7 @@ def estimate_rwbc_distributed(
 def _check_count_tensor_fits(n: int) -> None:
     """Fail fast when the visit tally cannot fit in physical memory.
 
-    Both scheduler loops keep a dense ``(n, 2, n)`` int64 tally (the
+    Both execution modes keep a dense ``(n, 2, n)`` int64 tally (the
     engine's count tensor, or one ``(2, n)`` slab per node), i.e.
     ``16 * n**2`` bytes.  ``np.zeros`` allocates it lazily, so without
     this check an oversized run starts and dies partway through.

@@ -531,6 +531,50 @@ class RWBCNodeProgram(VectorizedProgram):
     # ------------------------------------------------------------------
     # Phase 2: counting (Algorithm 1)
     # ------------------------------------------------------------------
+    def _read_counting_mail(
+        self, inbox: list[Message]
+    ) -> tuple[list[tuple[int, ...]], int | None]:
+        """Read one counting round's mail, the same way on both paths.
+
+        Folds term reports into the death counter and, in reliable mode,
+        runs every message through the ARQ first (acks stop there;
+        duplicates are dropped) and also keeps exchange columns and
+        degrees that overtook the done wave.  Returns this round's walk
+        arrivals as ``(source, remaining, half, count)`` groups, in
+        arrival order, and the done-wave round if a done message came.
+        """
+        channel = self._channel
+        arrivals: list[tuple[int, ...]] = []
+        done_round: int | None = None
+        for message in inbox:
+            kind = message.kind
+            if channel is None:
+                payload = message.fields
+            elif kind == KIND_ACK:
+                channel.receive(message)
+                continue
+            else:
+                payload = channel.receive(message)
+                if payload is None:
+                    continue
+            if kind == KIND_WALK:
+                arrivals.append((*payload, 1))
+            elif kind == KIND_WALK_BATCH:
+                arrivals.append(payload)
+            elif kind == KIND_TERM:
+                self._death_counter.receive_report(message.sender, payload[0])
+            elif kind == KIND_DONE:
+                done_round = payload[0]
+            elif channel is None:
+                continue  # plain mode, fault-free: nothing else comes now
+            elif kind == KIND_EXCHANGE:
+                # A neighbor reached the exchange phase before this
+                # node's done arrival; its columns are valid now.
+                self._store_exchange(message.sender, payload)
+            elif kind == KIND_DEGREE:
+                self._neighbor_degrees[message.sender] = payload[0]
+        return arrivals, done_round
+
     def _counting_round_engine(
         self, ctx: RoundContext, inbox: list[Message]
     ) -> None:
@@ -546,37 +590,9 @@ class RWBCNodeProgram(VectorizedProgram):
         canonical grouped receive as the claimed bulk traffic.  The
         engine owns this node's flush while it is counting, so none
         happens here."""
-        done_round: int | None = None
-        if self._channel is not None:
-            for message in inbox:
-                kind = message.kind
-                if kind == KIND_ACK:
-                    self._channel.receive(message)
-                    continue
-                payload = self._channel.receive(message)
-                if payload is None:
-                    continue
-                if kind in (KIND_WALK, KIND_WALK_BATCH):
-                    self._engine.deliver_control_walk(
-                        self.node_id, kind, payload
-                    )
-                elif kind == KIND_TERM:
-                    self._death_counter.receive_report(
-                        message.sender, payload[0]
-                    )
-                elif kind == KIND_DONE:
-                    done_round = payload[0]
-                elif kind == KIND_EXCHANGE:
-                    self._store_exchange(message.sender, payload)
-                elif kind == KIND_DEGREE:
-                    self._neighbor_degrees[message.sender] = payload[0]
-        else:
-            for message in inbox:
-                if message.kind == KIND_TERM:
-                    (total,) = message.fields
-                    self._death_counter.receive_report(message.sender, total)
-                elif message.kind == KIND_DONE:
-                    (done_round,) = message.fields
+        arrivals, done_round = self._read_counting_mail(inbox)
+        for group in arrivals:
+            self._engine.deliver_control_walk(self.node_id, group)
         if done_round is not None:
             self._begin_done_wave(ctx, done_round)
             return
@@ -587,69 +603,12 @@ class RWBCNodeProgram(VectorizedProgram):
     ) -> None:
         walks = self._walks
         deaths_before = walks.deaths
-        done_round: int | None = None
-        sources: list[int] = []
-        remainings: list[int] = []
-        halves: list[int] = []
-        counts: list[int] = []
-        if self._channel is not None:
-            for message in inbox:
-                kind = message.kind
-                if kind == KIND_ACK:
-                    self._channel.receive(message)
-                    continue
-                payload = self._channel.receive(message)
-                if payload is None:
-                    continue
-                if kind == KIND_WALK:
-                    sources.append(payload[0])
-                    remainings.append(payload[1])
-                    halves.append(payload[2])
-                    counts.append(1)
-                elif kind == KIND_WALK_BATCH:
-                    sources.append(payload[0])
-                    remainings.append(payload[1])
-                    halves.append(payload[2])
-                    counts.append(payload[3])
-                elif kind == KIND_TERM:
-                    self._death_counter.receive_report(
-                        message.sender, payload[0]
-                    )
-                elif kind == KIND_DONE:
-                    done_round = payload[0]
-                elif kind == KIND_EXCHANGE:
-                    # A neighbor reached the exchange phase before this
-                    # node's done arrival; its columns are valid now.
-                    self._store_exchange(message.sender, payload)
-                elif kind == KIND_DEGREE:
-                    self._neighbor_degrees[message.sender] = payload[0]
-        else:
-            for message in inbox:
-                if message.kind == KIND_WALK:
-                    source, remaining, half = message.fields
-                    sources.append(source)
-                    remainings.append(remaining)
-                    halves.append(half)
-                    counts.append(1)
-                elif message.kind == KIND_WALK_BATCH:
-                    source, remaining, half, count = message.fields
-                    sources.append(source)
-                    remainings.append(remaining)
-                    halves.append(half)
-                    counts.append(count)
-                elif message.kind == KIND_TERM:
-                    (total,) = message.fields
-                    self._death_counter.receive_report(message.sender, total)
-                elif message.kind == KIND_DONE:
-                    (done_round,) = message.fields
-        if sources:
+        arrivals, done_round = self._read_counting_mail(inbox)
+        if arrivals:
             # One grouped call per round: the randomness consumed depends
             # only on the multiset of arrivals, never on message order.
             walks.receive_group_arrays(
-                np.array(sources, dtype=np.int64),
-                np.array(remainings, dtype=np.int64),
-                np.array(halves, dtype=np.int64),
-                np.array(counts, dtype=np.int64),
+                *np.array(arrivals, dtype=np.int64).T
             )
         self._death_counter.record_deaths(walks.deaths - deaths_before)
 

@@ -312,20 +312,14 @@ class CountingWalkEngine:
         so the post-round pass considers its termination reporting."""
         self._touched.add(node)
 
-    def deliver_control_walk(
-        self, node: int, kind: str, payload: tuple[int, ...]
-    ) -> None:
-        """Buffer a fresh walk token that arrived as an ordinary control
-        message (an ARQ retransmission - fresh emission always travels
-        in bulk).  The node's round handler already ran it through the
-        channel; the engine folds it into this round's canonical
-        grouped receive alongside the claimed bulk arrivals."""
-        if kind == KIND_WALK:
-            source, remaining, half = payload
-            count = 1
-        else:
-            source, remaining, half, count = payload
-        self._control_arrivals.append((node, source, remaining, half, count))
+    def deliver_control_walk(self, node: int, group: tuple[int, ...]) -> None:
+        """Buffer a fresh ``(source, remaining, half, count)`` walk group
+        that arrived as an ordinary control message (an ARQ
+        retransmission - fresh emission always travels in bulk).  The
+        node's round handler already ran it through the channel; the
+        engine folds it into this round's canonical grouped receive
+        alongside the claimed bulk arrivals."""
+        self._control_arrivals.append((node, *group))
 
     def note_transition(self, node: int) -> None:
         """A counting node switched to the exchange phase during this
@@ -341,7 +335,7 @@ class CountingWalkEngine:
     ) -> dict[str, ClaimedKind]:
         """Before the per-node calls: in reliable mode, run the claimed
         walk rows through their receivers' ARQ now - where the
-        per-message loop accepts them, ahead of each receiver's own
+        per-message mode accepts them, ahead of each receiver's own
         round handler and the flush inside it."""
         if not self._reliable:
             return claimed
@@ -436,7 +430,7 @@ class CountingWalkEngine:
         """Reliable mode: run every claimed walk row through the
         receiver's ARQ before counting.
 
-        Row by row, this is what the per-message loop does with each
+        Row by row, this is what per-message mode does with each
         token message: :meth:`ReliableChannel.accept` keeps a first-seen
         seq (multiplicity one - fault duplication cannot double a token)
         and charges every other copy as a duplicate, and a receiver
@@ -487,7 +481,7 @@ class CountingWalkEngine:
         self, round_number: int, outbox: "RoundOutbox"
     ) -> None:
         """A finished node that took claimed rows (late copies of tokens
-        it already has) owes their acks.  The per-message loop wakes it
+        it already has) owes their acks.  Per-message mode wakes it
         for that mail to receive, flush, and halt again; when no control
         mail woke it this round, its acks are still due here, and the
         engine runs that flush."""
@@ -627,7 +621,7 @@ class CountingWalkEngine:
         this round: counting nodes plus the ones that left counting
         during this round's calls.  (Setup/exchange/done nodes flush
         inline in their own handlers; a crashed node flushes nothing,
-        same as the per-message loop skipping it.)  Returns the fresh
+        same as per-message mode skipping it.)  Returns the fresh
         token budget debits as an edge-id -> retransmit-count map for
         :meth:`_emit`."""
         retransmits: dict[int, int] = {}
@@ -672,7 +666,7 @@ class CountingWalkEngine:
 
         Under faults the budget becomes per edge: ``retransmits`` debits
         slots the ARQ flush already spent, and edges out of a crashed
-        node get zero (the per-message loop skips the node outright, so
+        node get zero (per-message mode skips the node outright, so
         its queues just wait).  In reliable mode every shipped token
         needs its own seq, so QUEUE groups expand to one row per token
         and each row is sequenced through the sender's channel in the
@@ -773,7 +767,7 @@ class CountingWalkEngine:
 
         Rows arrive sorted by (edge, arrival seq), so walking them in
         order assigns each directed edge the same consecutive seqs the
-        per-message loop's ``send_round`` would (it also sends
+        per-message mode's ``send_round`` would (it also sends
         head-of-queue first).  QUEUE groups expand to multiplicity-one
         rows because each token message carries a distinct seq."""
         if not len(sent):

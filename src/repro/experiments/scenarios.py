@@ -3,7 +3,7 @@
 A :class:`Scenario` is one named cell of the repo's coverage matrix:
 graph source (synthetic family or bundled dataset) x size x protocol
 variant (distributed walkers / weighted oracle / edge betweenness) x
-executor (sync fast path, forced per-message loop, async synchronizer)
+executor (sync fast path, forced per-message mode, async synchronizer)
 x fault profile.  Suites (:data:`SUITES`) are named scenario lists; the
 ``repro sweep`` CLI runs one suite, prints the rows, and appends a
 keyed entry to the suite's committed ``BENCH_<suite>.json`` trajectory
@@ -38,6 +38,7 @@ from repro.graphs.graph import Graph, GraphError
 __all__ = [
     "FAULT_PROFILES",
     "SUITES",
+    "TWINS",
     "Scenario",
     "make_fault_plan",
     "run_suite",
@@ -310,7 +311,7 @@ def _full_suite() -> tuple[Scenario, ...]:
 
 
 #: Named suites.  ``smoke`` is the CI tier: one scenario per regime
-#: (fast path, the forced per-message loop, reliable mode under drops,
+#: (fast path, forced per-message mode, reliable mode under drops,
 #: chaos with a crash window, the async synchronizer faulty and
 #: fault-free, a real dataset, and the weighted / edge oracles), each
 #: sized to finish in seconds.  ``full`` is the broad matrix.
@@ -336,6 +337,25 @@ SUITES: dict[str, tuple[Scenario, ...]] = {
                  variant="edges"),
     ),
     "full": _full_suite(),
+}
+
+
+#: Rows of each suite that must agree: the same instance on two
+#: executors that promise identical results, as ``(first, second,
+#: fields)``.  ``repro sweep`` reports every differing field as a
+#: regression, so ``--check`` fails on it.  The forced per-message mode
+#: must match the fast path on every counter; the fault-tolerant async
+#: synchronizer must reach the fault-free run's values, though it pays
+#: retransmissions for them.
+TWINS: dict[str, tuple[tuple[str, str, tuple[str, ...]], ...]] = {
+    "smoke": (
+        ("cycle8-async", "cycle8-async-lossy", ("checksum",)),
+    ),
+    "full": (
+        ("er60-sync", "er60-permsg",
+         ("rounds", "messages", "bits", "checksum")),
+        ("cycle12-async", "cycle12-async-lossy", ("checksum",)),
+    ),
 }
 
 

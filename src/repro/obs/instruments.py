@@ -67,7 +67,7 @@ class Log2Histogram:
             self.max = value
 
     def observe_array(self, values: np.ndarray) -> None:
-        """Vectorized bulk observation (used by the fast path)."""
+        """Vectorized bulk observation (per-edge loads of each round)."""
         if len(values) == 0:
             return
         values = np.asarray(values)
@@ -118,11 +118,6 @@ class InstrumentSet:
 
     def observe(self, name: str, value: int) -> None:
         self.hist(name).observe(value)
-
-    def observe_values(self, name: str, values) -> None:
-        histogram = self.hist(name)
-        for value in values:
-            histogram.observe(value)
 
     def observe_array(self, name: str, values: np.ndarray) -> None:
         self.hist(name).observe_array(values)

@@ -48,7 +48,7 @@ def render_report(artifact: Artifact) -> str:
         if key in meta
     )
     path_label = "fast path" if header.get("fast_path") else (
-        "per-message loop (" + "; ".join(header.get("fallback_reasons", [])) + ")"
+        "per-message mode (" + "; ".join(header.get("fallback_reasons", [])) + ")"
     )
     lines.append(f"observe report · schema {header.get('schema')}")
     if descriptor:

@@ -19,7 +19,9 @@ Two metric classes are compared very differently:
   (a laptop baseline must not gate a CI runner).
 
 Other row fields (``checksum``, graph shape, configuration echoes) ride
-along for triage but are never gated on.
+along for triage and are not compared across entries.  Within one
+entry, :func:`compare_twins` checks that rows which must agree (the
+same instance on two executors that promise identical results) do.
 
 The schema (:data:`TRAJECTORY_SCHEMA`) is versioned like the observe
 artifact schema; readers reject other versions via the shared
@@ -44,6 +46,7 @@ __all__ = [
     "Regression",
     "append_entry",
     "compare_entries",
+    "compare_twins",
     "git_sha",
     "load_trajectory",
     "machine_fingerprint",
@@ -208,8 +211,8 @@ class Regression:
 
     scenario: str
     metric: str
-    previous: float | int | None
-    current: float | int | None
+    previous: float | int | str | None
+    current: float | int | str | None
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -287,6 +290,36 @@ def compare_entries(
                         old_wall,
                         new_wall,
                         f"slower than {wall_ratio:g}x the previous entry",
+                    )
+                )
+    return regressions
+
+
+def compare_twins(
+    entry: dict, twins: tuple[tuple[str, str, tuple[str, ...]], ...]
+) -> list[Regression]:
+    """Rows of one entry that must agree but differ.
+
+    ``twins`` lists ``(first, second, fields)``: the two scenarios must
+    carry equal values in every named field.  A pair with a row missing
+    from ``entry`` (e.g. a ``--only`` run) is skipped.
+    """
+    regressions: list[Regression] = []
+    scenarios = entry["scenarios"]
+    for first, second, fields in twins:
+        left = scenarios.get(first)
+        right = scenarios.get(second)
+        if left is None or right is None:
+            continue
+        for field in fields:
+            if left.get(field) != right.get(field):
+                regressions.append(
+                    Regression(
+                        f"{first}/{second}",
+                        field,
+                        left.get(field),
+                        right.get(field),
+                        "twin rows differ",
                     )
                 )
     return regressions

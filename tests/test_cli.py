@@ -293,6 +293,36 @@ class TestSweep:
         # --no-append left the mutated file as it was.
         assert len(json.loads(path.read_text())["entries"]) == 1
 
+    def test_check_fails_on_twin_checksum_change(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """cycle8-async and cycle8-async-lossy must share a checksum
+        within one run; a mutated checksum trips ``--check`` even with
+        no baseline to compare against."""
+        from repro.experiments import scenarios
+
+        real_row = scenarios.scenario_row
+
+        def mutated_row(**point):
+            row = real_row(**point)
+            if point["scenario"] == "cycle8-async-lossy":
+                row["checksum"] = "0" * 16
+            return row
+
+        monkeypatch.setattr(scenarios, "scenario_row", mutated_row)
+        code = main(
+            ["sweep", "--suite", "smoke", "--only", "cycle8-async",
+             "--out", str(tmp_path / "BENCH_test.json"), "--check",
+             "--no-append"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "REGRESSION cycle8-async/cycle8-async-lossy.checksum" in (
+            captured.out
+        )
+        assert "twin rows differ" in captured.out
+        assert "regression(s)" in captured.err
+
     def test_unknown_suite(self, capsys):
         assert main(["sweep", "--suite", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err

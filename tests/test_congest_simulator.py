@@ -12,7 +12,7 @@ from repro.congest.errors import (
 from repro.congest.message import Message
 from repro.congest.node import NodeProgram, VectorizedProgram
 from repro.congest.scheduler import Simulator, run_program
-from repro.congest.transport import BandwidthPolicy, RoundOutbox
+from repro.congest.transport import BandwidthPolicy, RoundOutbox, RoundTraffic
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.graph import Graph
 
@@ -107,6 +107,38 @@ class DriverHost(VectorizedProgram):
         self.halt()
 
 
+class RelayOnMail(VectorizedProgram):
+    """Passes a token down a path: node 0 sends it at start, and a node
+    forwards it and halts once it has mail.  ``bulk_idle`` is True and
+    ``next_wake`` is None, so the fast path steps a node only when mail
+    arrives for it."""
+
+    def __init__(self, info, rng):
+        super().__init__(info, rng)
+        self.stepped = []
+        self.shared_seen = []
+
+    @property
+    def bulk_idle(self):
+        return True
+
+    def next_wake(self, round_number):
+        return None
+
+    def on_start(self, ctx):
+        if self.node_id == 0:
+            ctx.send(1, "token")
+            self.halt()
+
+    def on_round(self, ctx, inbox):
+        self.stepped.append(ctx.round_number)
+        self.shared_seen.append(ctx.shared)
+        if inbox:
+            if self.node_id + 1 in self.neighbors:
+                ctx.send(self.node_id + 1, "token")
+            self.halt()
+
+
 class TestSimulatorBasics:
     def test_idle_run_terminates_fast(self):
         result = run_program(path_graph(5), Idle)
@@ -126,6 +158,18 @@ class TestSimulatorBasics:
         assert result.metrics.total_messages == 8
         assert result.metrics.rounds == 1
         assert result.metrics.max_messages_per_edge_round == 1
+
+    def test_ping_metrics_with_labels_beyond_n(self):
+        # Labels need not be 0..n-1: with n = 3, edges (0, 3) and (1, 0)
+        # must still be counted as two edges carrying one message each.
+        graph = Graph(edges=[(0, 1), (1, 3), (3, 0)])
+        for vectorized in (False, None):
+            result = run_program(graph, PingOnce, vectorized=vectorized)
+            assert result.metrics.total_messages == 6
+            assert result.metrics.max_messages_per_edge_round == 1
+            assert result.metrics.max_bits_per_edge_round == (
+                Message(3, 0, "ping", (3,)).bits
+            )
 
     def test_message_log_recording(self):
         result = run_program(path_graph(3), PingOnce, record_messages=True)
@@ -215,6 +259,68 @@ class TestHaltSemantics:
         assert result.program(1).got_poke
 
 
+class TestExecutionModes:
+    """The two modes of the one round loop differ only in the contexts'
+    ``shared`` handle and in which nodes are stepped."""
+
+    def test_per_message_mode_steps_every_live_node_every_round(self):
+        result = run_program(path_graph(5), RelayOnMail, vectorized=False)
+        assert not result.fast_path
+        assert result.fallback_reasons == ("vectorized=False requested",)
+        assert result.metrics.rounds == 4
+        # The token reaches node k in round k; until then node k is live
+        # and stepped every round, though bulk_idle says it is idle.
+        for node in range(1, 5):
+            program = result.program(node)
+            assert program.stepped == list(range(1, node + 1))
+            assert program.shared_seen == [None] * node
+        assert result.program(0).stepped == []
+
+    def test_fast_path_steps_only_nodes_with_mail(self):
+        result = run_program(path_graph(5), RelayOnMail, vectorized=True)
+        assert result.fast_path
+        assert result.metrics.rounds == 4
+        for node in range(1, 5):
+            program = result.program(node)
+            assert program.stepped == [node]
+            assert program.shared_seen[0] is not None
+        assert result.program(0).stepped == []
+
+
+class TestMessageLog:
+    def test_log_matches_metrics_under_delay_and_duplication(self):
+        """Matured delayed messages and duplicates join the log in the
+        round they are delivered, exactly as the metrics count them."""
+        from repro.congest.faults import FaultPlan
+        from repro.core.protocol import ProtocolConfig, make_protocol_factory
+
+        plan = FaultPlan(
+            seed=9, duplicate_rate=0.1, delay_rate=0.15, max_delay=3
+        )
+        config = ProtocolConfig(length=24, walks_per_source=4, reliable=True)
+        result = Simulator(
+            cycle_graph(8),
+            make_protocol_factory(config),
+            seed=3,
+            record_messages=True,
+            faults=plan,
+        ).run()
+        metrics = result.metrics
+        assert metrics.faults["delayed"] > 0
+        assert metrics.faults["duplicated"] > 0
+        assert len(result.message_log) == metrics.rounds
+        for index, delivered in enumerate(result.message_log):
+            assert len(delivered) == metrics.messages_per_round[index]
+            assert (
+                sum(m.bits for m in delivered)
+                == metrics.bits_per_round[index]
+            )
+        assert (
+            sum(len(delivered) for delivered in result.message_log)
+            == metrics.total_messages
+        )
+
+
 class TestBandwidthPolicy:
     def test_bits_budget_scales_with_n(self):
         small = BandwidthPolicy(n=16)
@@ -246,10 +352,10 @@ class TestMetrics:
         from repro.congest.metrics import RunMetrics
 
         metrics = RunMetrics()
-        metrics.record_round([])
-        metrics.record_round([])
+        metrics.record_round_aggregate(RoundTraffic())
+        metrics.record_round_aggregate(RoundTraffic())
         metrics.mark_phase("setup")
-        metrics.record_round([])
+        metrics.record_round_aggregate(RoundTraffic())
         metrics.mark_phase("main")
         assert metrics.phase_rounds == {"setup": 2, "main": 1}
 
@@ -262,13 +368,13 @@ class TestMetrics:
 
         metrics = RunMetrics()
         for _ in range(3):
-            metrics.record_round([])
+            metrics.record_round_aggregate(RoundTraffic())
         metrics.mark_phase("a")
         for _ in range(2):
-            metrics.record_round([])
+            metrics.record_round_aggregate(RoundTraffic())
         metrics.mark_phase("b")
         for _ in range(4):
-            metrics.record_round([])
+            metrics.record_round_aggregate(RoundTraffic())
         metrics.mark_phase("a")
         assert metrics.phase_rounds == {"a": 7, "b": 2}
         # A mark with no new rounds is a no-op, not a reset.

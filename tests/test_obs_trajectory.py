@@ -9,6 +9,7 @@ from repro.obs.trajectory import (
     TRAJECTORY_SCHEMA,
     append_entry,
     compare_entries,
+    compare_twins,
     git_sha,
     load_trajectory,
     machine_fingerprint,
@@ -225,6 +226,27 @@ class TestCompare:
             compare_entries(entry(), entry(), wall_clock="sometimes")
 
 
+class TestCompareTwins:
+    TWINS = (("er30-sync", "er30-edges", ("checksum",)),)
+
+    def test_agreeing_twins_pass(self):
+        twin = entry()
+        twin["scenarios"]["er30-edges"]["checksum"] = "abc123"
+        assert compare_twins(twin, self.TWINS) == []
+
+    def test_differing_field_is_regression(self):
+        regressions = compare_twins(entry(), self.TWINS)
+        assert [(r.scenario, r.metric, r.previous, r.current) for r in
+                regressions] == [
+            ("er30-sync/er30-edges", "checksum", "abc123", "def456")
+        ]
+
+    def test_missing_row_skips_pair(self):
+        partial = entry()
+        del partial["scenarios"]["er30-edges"]
+        assert compare_twins(partial, self.TWINS) == []
+
+
 class TestCommittedTrajectory:
     """The repo-root BENCH_smoke.json must stay loadable and covering."""
 
@@ -241,3 +263,16 @@ class TestCommittedTrajectory:
         assert {"sync", "per-message", "async"} <= executors
         assert {"none", "lossy", "chaos"} <= profiles
         assert any(row.get("fast_path") for row in latest.values())
+
+    @pytest.mark.parametrize("suite", ["smoke", "full"])
+    def test_committed_twins_agree(self, suite):
+        from pathlib import Path
+
+        from repro.experiments.scenarios import TWINS
+
+        path = Path(__file__).resolve().parents[1] / f"BENCH_{suite}.json"
+        latest = load_trajectory(path)["entries"][-1]
+        for first, second, _ in TWINS[suite]:
+            assert first in latest["scenarios"]
+            assert second in latest["scenarios"]
+        assert compare_twins(latest, TWINS[suite]) == []
