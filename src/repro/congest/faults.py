@@ -42,12 +42,11 @@ import numpy as np
 
 from repro.congest.errors import FaultInjectionError
 from repro.congest.message import Message
+from repro.congest.splitmix import GOLDEN, MASK64, mix64_array, mix64_int
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
 # Decision salts: one independent hash family per fault type.
 _SALT_DROP = 0xD1
 _SALT_DUP = 0xD2
@@ -62,33 +61,13 @@ def kind_code(kind: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _mix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer for 1-d uint64 arrays.
-    Elementwise ufuncs on arrays wrap silently (only numpy *scalar*
-    arithmetic warns on overflow), so no ``errstate`` context is
-    needed."""
-    z = values + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _mix64_int(value: int) -> int:
-    """Scalar splitmix64 finalizer in pure Python ints (identical to
-    :func:`_mix64_array` mod 2**64, without numpy scalar overhead)."""
-    z = (value + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _edge_base(
     seed: int, round_number: int, sender: int, receiver: int, code: int
 ) -> int:
     """Scalar hash chain shared by every message of one (edge, kind)."""
-    h = seed & _MASK64
+    h = seed & MASK64
     for part in (round_number, sender, receiver, code):
-        h = _mix64_int(h ^ ((part * _GOLDEN) & _MASK64))
+        h = mix64_int(h ^ ((part * GOLDEN) & MASK64))
     return h
 
 
@@ -105,13 +84,13 @@ def _edge_base_array(
     round, so it is folded once in scalar math; the remaining three
     links vectorize.  Bit-identical to the scalar chain.
     """
-    prefix = _mix64_int((seed & _MASK64) ^ ((round_number * _GOLDEN) & _MASK64))
-    golden = np.uint64(_GOLDEN)
-    h = _mix64_array(
+    prefix = mix64_int((seed & MASK64) ^ ((round_number * GOLDEN) & MASK64))
+    golden = np.uint64(GOLDEN)
+    h = mix64_array(
         np.uint64(prefix) ^ (senders.astype(np.uint64) * golden)
     )
-    h = _mix64_array(h ^ (receivers.astype(np.uint64) * golden))
-    return _mix64_array(h ^ (codes.astype(np.uint64) * golden))
+    h = mix64_array(h ^ (receivers.astype(np.uint64) * golden))
+    return mix64_array(h ^ (codes.astype(np.uint64) * golden))
 
 
 def _uniform_one(base: int, salt: int, index: int) -> float:
@@ -120,10 +99,10 @@ def _uniform_one(base: int, salt: int, index: int) -> float:
     asynchronous executor decides fates one in-flight message at a
     time, where a one-element numpy round trip would dominate."""
     key = (
-        (base ^ (((index + 1) * _GOLDEN) & _MASK64))
-        + ((salt * 0x2545F4914F6CDD1D) & _MASK64)
-    ) & _MASK64
-    return (_mix64_int(key) >> 11) * 2.0**-53
+        (base ^ (((index + 1) * GOLDEN) & MASK64))
+        + ((salt * 0x2545F4914F6CDD1D) & MASK64)
+    ) & MASK64
+    return (mix64_int(key) >> 11) * 2.0**-53
 
 
 def _uniforms_array(
@@ -134,9 +113,9 @@ def _uniforms_array(
     group of a round at once."""
     keys = (
         bases
-        ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))
-    ) + np.uint64(salt * 0x2545F4914F6CDD1D & _MASK64)
-    return (_mix64_array(keys) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN))
+    ) + np.uint64(salt * 0x2545F4914F6CDD1D & MASK64)
+    return (mix64_array(keys) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)

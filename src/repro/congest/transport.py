@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,10 @@ class BandwidthPolicy:
         if self.messages_per_edge < 1:
             raise ConfigError("BandwidthPolicy requires messages_per_edge >= 1")
 
-    @property
+    @cached_property
     def bits_per_message(self) -> int:
-        """The ``O(log n)`` per-message budget.
+        """The ``O(log n)`` per-message budget (computed once per policy;
+        every pushed message is checked against it).
 
         The floor of 48 bits keeps small-n simulations workable: leader
         ranks span ``[0, n^3)`` (3 log n bits) and ride with an id and a

@@ -215,9 +215,10 @@ class RWBCNodeProgram(VectorizedProgram):
     path it hands walk traffic to the shared :class:`CountingWalkEngine`
     and, fault-free, the exchange phase to the shared exchange engine,
     both network-wide drivers.  Both paths process each node's round of
-    walk arrivals as one canonical group array with that node's own
-    generator, so the random stream - and therefore every tally and
-    every message count - is identical for the same seed.
+    walk arrivals as one canonical group array that takes the next
+    draws of that node's counter-based walk stream, so the random
+    stream - and therefore every tally and every message count - is
+    identical for the same seed.
     """
 
     def __init__(
@@ -482,7 +483,9 @@ class RWBCNodeProgram(VectorizedProgram):
             target=self.target,
             walks_per_source=self.config.walks_per_source,
             length=self.config.length,
-            rng=self.rng,
+            # The node's private walk stream: a key drawn once from its
+            # own generator (see repro.walks.batched.walk_uniforms).
+            walk_key=int(self.rng.integers(0, 2**64, dtype=np.uint64)),
             policy=self.config.policy,
             walk_budget=self.config.walk_budget,
             count_initial=self.config.count_initial,

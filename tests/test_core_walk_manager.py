@@ -1,6 +1,5 @@
 """Unit tests for the per-node walk manager and termination logic."""
 
-import numpy as np
 import pytest
 
 from repro.congest.errors import ProtocolError
@@ -24,7 +23,7 @@ def make_manager(**overrides):
         target=3,
         walks_per_source=5,
         length=10,
-        rng=np.random.default_rng(0),
+        walk_key=0,
         policy=TransportPolicy.QUEUE,
         walk_budget=2,
     )
@@ -210,9 +209,8 @@ class TestWalkConservation:
     by absorption/expiry."""
 
     def test_conservation_over_rounds(self):
-        rng = np.random.default_rng(42)
         manager = make_manager(
-            walks_per_source=50, length=3, walk_budget=1, rng=rng
+            walks_per_source=50, length=3, walk_budget=1, walk_key=42
         )
         manager.launch()
         for _ in range(300):
